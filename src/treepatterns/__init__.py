@@ -9,6 +9,7 @@ from .errors import (
     DuplicateVerticesError,
     FormatError,
     IndexOutOfRangeError,
+    SampleCountError,
     SelfLoopError,
     TooSmallError,
     TreePatternError,

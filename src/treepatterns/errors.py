@@ -45,6 +45,10 @@ class ZeroMeanError(TreePatternError):
     """A ratio bound is undefined because the mean is zero."""
 
 
+class SampleCountError(TreePatternError, ValueError):
+    """A Monte Carlo run was asked for fewer than one sample."""
+
+
 class CapExceededError(TreePatternError):
     """Exhaustive enumeration was requested beyond the configured cap."""
 

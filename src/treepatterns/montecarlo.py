@@ -10,15 +10,14 @@ bare modulus.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainTooSmallError
+from .errors import DomainTooSmallError, SampleCountError, TooSmallError
 from .isomorphism import RootedPattern
 from .moments import chebyshev_zero_bound, mean_pattern_count, rational_str
-from .patterns import _count_multi
-from .trees import PruferSequence, Tree, _decode_edges, prufer_decode
+from .patterns import _count_multi, _fan_out, _sweep
+from .trees import PruferSequence, Tree, prufer_decode
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -85,6 +84,8 @@ def sample_tree(n: int, stream: RandomStream) -> Tree:
     n = 1 returns the single-vertex tree without consuming randomness;
     otherwise n - 2 uniform draws feed the Pruefer decoder.
     """
+    if n < 1:
+        raise TooSmallError(f"a tree needs at least one vertex, got n = {n}")
     if n == 1:
         return Tree(1, frozenset())
     seq = tuple(stream.randints(n - 2, n))
@@ -158,27 +159,12 @@ class McEstimate:
         }
 
 
-def _tally(args) -> tuple[int, int, int]:
+def _tally_job(args, lo: int, hi: int):
     # Same draws and same counting core as sample_tree + count_patterns,
     # minus the per-sample Tree object; the equivalence is under test.
-    pat, n, seed, lo, hi = args
-    targets = [(pat.p + 1, pat.canonical.code)]
-    hits = s1 = s2 = 0
-    for k in range(lo, hi):
-        if n == 1:
-            c = 0
-        else:
-            seq = stream_for(seed, k).randints(n - 2, n)
-            adj: list[list[int]] = [[] for _ in range(n + 1)]
-            for u, v in _decode_edges(seq, n):
-                adj[u].append(v)
-                adj[v].append(u)
-            c = _count_multi(n, adj, targets)[0]
-        if c:
-            hits += 1
-            s1 += c
-            s2 += c * c
-    return hits, s1, s2
+    n, seed, targets = args
+    seqs = (stream_for(seed, k).randints(n - 2, n) for k in range(lo, hi))
+    return _sweep(lambda adj: _count_multi(n, adj, targets)[0], n, seqs)
 
 
 def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
@@ -192,20 +178,12 @@ def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
         raise DomainTooSmallError(
             f"host tree needs at least p + 1 = {pat.p + 1} vertices")
     if samples < 1:
-        raise ValueError("samples must be positive")
-    if workers <= 1:
-        hits, s1, s2 = _tally((pat, n, seed, 0, samples))
-    else:
-        w = min(workers, samples)
-        bounds = [samples * i // w for i in range(w + 1)]
-        jobs = [(pat, n, seed, bounds[i], bounds[i + 1]) for i in range(w)]
-        hits = s1 = s2 = 0
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            for h, a, b in pool.map(_tally, jobs):
-                hits += h
-                s1 += a
-                s2 += b
-    return McEstimate(n, samples, seed, hits, s1, s2)
+        raise SampleCountError(f"samples must be positive, got {samples}")
+    targets = [(pat.p + 1, pat.canonical.code)]
+    hist = _fan_out(_tally_job, (n, seed, targets), 0, samples, workers)
+    return McEstimate(n, samples, seed, samples - hist[0],
+                      sum(c * k for c, k in hist.items()),
+                      sum(c * c * k for c, k in hist.items()))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ tree count explodes, and the cap keeps mistakes cheap.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -26,7 +26,7 @@ from .moments import (
     pair_occurrence_probability,
     second_moment_pattern_count,
 )
-from .patterns import _count_multi, _is_occurrence
+from .patterns import _count_multi, _fan_out, _is_occurrence, _sweep
 from .trees import Tree, _decode_edges
 
 DEFAULT_CAP = 9
@@ -39,25 +39,26 @@ def _check_cap(n: int, cap: int) -> None:
     if n > min(cap, HARD_CAP):
         raise CapExceededError(
             f"n = {n} exceeds the enumeration cap {min(cap, HARD_CAP)} "
-            f"({n}**{n - 2} = {n ** (n - 2)} trees)")
+            f"({n}**{n - 2} trees)")
 
 
-def _sequences(n: int, first: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
-    # Lexicographic order; restricting the first entry partitions the space.
+def _blocks(n: int) -> int:
+    return n if n > 2 else 1
+
+
+def _sequences(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    # Lexicographic order.  Block b holds the sequences led by b + 1 (for
+    # n = 2, block 0 holds the empty sequence alone), so contiguous block
+    # ranges partition the space.
     if n == 2:
-        if first is None:
-            yield ()
-        return
-    heads = range(1, n + 1) if first is None else first
-    for h in heads:
-        for tail in product(range(1, n + 1), repeat=n - 3):
-            yield (h, *tail)
+        return iter([()] * (hi - lo))
+    return product(range(lo + 1, hi + 1), *[range(1, n + 1)] * (n - 3))
 
 
 def iter_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     """Yield every labelled tree on n vertices exactly once."""
     _check_cap(n, cap)
-    for seq in _sequences(n):
+    for seq in _sequences(n, 0, _blocks(n)):
         yield Tree(n, frozenset(_decode_edges(seq, n)))
 
 
@@ -69,14 +70,6 @@ def enumerate_trees(n: int, visitor: Callable[[Tree], None],
         visitor(t)
         count += 1
     return count
-
-
-def _adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in _decode_edges(seq, n):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,20 +104,17 @@ class ExactDistribution:
                         self.total)
 
 
-def _distribution_chunk(args) -> list[dict[int, int]]:
-    n, targets, first = args
-    hists: list[dict[int, int]] = [{} for _ in targets]
-    for seq in _sequences(n, first):
-        adj = _adjacency(seq, n)
-        for h, c in zip(hists, _count_multi(n, adj, targets)):
-            h[c] = h.get(c, 0) + 1
-    return hists
+def _marginal(tally: Counter, i: int) -> dict[int, int]:
+    out: Counter = Counter()
+    for key, c in tally.items():
+        out[key[i]] += c
+    return dict(out)
 
 
-def _chunk_heads(n: int, workers: int) -> list[list[int]]:
-    heads = list(range(1, n + 1))
-    k = min(workers, n)
-    return [heads[i::k] for i in range(k)]
+def _counts_job(args, lo: int, hi: int) -> Counter:
+    n, targets = args
+    return _sweep(lambda adj: tuple(_count_multi(n, adj, targets)), n,
+                  _sequences(n, lo, hi))
 
 
 def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
@@ -133,19 +123,10 @@ def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
     """Exact count distributions for several patterns in one sweep."""
     _check_cap(n, cap)
     targets = [(pat.p + 1, pat.canonical.code) for pat in pats]
-    if workers <= 1 or n == 2:
-        hists = _distribution_chunk((n, targets, None))
-    else:
-        jobs = [(n, targets, heads) for heads in _chunk_heads(n, workers)]
-        hists = [{} for _ in targets]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            for part in pool.map(_distribution_chunk, jobs):
-                for h, q in zip(hists, part):
-                    for k, c in q.items():
-                        h[k] = h.get(k, 0) + c
+    tally = _fan_out(_counts_job, (n, targets), 0, _blocks(n), workers)
     total = n ** (n - 2)
-    return [ExactDistribution(n, pat, h, total)
-            for pat, h in zip(pats, hists)]
+    return [ExactDistribution(n, pat, _marginal(tally, i), total)
+            for i, pat in enumerate(pats)]
 
 
 def exact_pattern_distribution(n: int, pat: RootedPattern,
@@ -176,12 +157,9 @@ def verify_labelled_count(pat: RootedPattern) -> LabelledCountReport:
         raise CapExceededError(f"pattern size {m} exceeds the rooted "
                                "enumeration cap 7")
     code = pat.canonical.code
-    hits = 0
-    for seq in _sequences(m):
-        adj = _adjacency(seq, m)
-        if ahu_code(adj, 1) == code:
-            hits += 1
-    return LabelledCountReport(pat, hits, labelled_rooted_count(pat))
+    tally = _sweep(lambda adj: ahu_code(adj, 1) == code, m,
+                   _sequences(m, 0, _blocks(m)))
+    return LabelledCountReport(pat, tally[True], labelled_rooted_count(pat))
 
 
 _OK = "ok"
@@ -230,8 +208,9 @@ def _fixed_tuples(p: int) -> dict[str, tuple[int, frozenset[int]]]:
     }
 
 
-def _moment_chunk(args) -> tuple[int, ...]:
-    n, p, code, first = args
+def _moment_job(args, lo: int, hi: int) -> Counter:
+    # Outcome key: the four fixed-tuple indicators, then the count.
+    n, p, code = args
     tup = _fixed_tuples(p)
     r1, o1 = tup["base"]
     rd, od = tup["disjoint"]
@@ -239,25 +218,16 @@ def _moment_chunk(args) -> tuple[int, ...]:
     ro, oo = tup["overlap_diff_root"]
     pair_ok = n >= 2 * (p + 1)
     targets = [(p + 1, code)]
-    g_base = g_disjoint = g_same = g_diff = 0
-    sum_c = sum_c2 = zeros = 0
-    for seq in _sequences(n, first):
-        adj = _adjacency(seq, n)
-        b = _is_occurrence(adj, r1, o1, p, code)
-        if b:
-            g_base += 1
-            if pair_ok and _is_occurrence(adj, rd, od, p, code):
-                g_disjoint += 1
-            if _is_occurrence(adj, rs, os_, p, code):
-                g_same += 1
-            if _is_occurrence(adj, ro, oo, p, code):
-                g_diff += 1
+
+    def outcome(adj):
         c = _count_multi(n, adj, targets)[0]
-        sum_c += c
-        sum_c2 += c * c
-        if c == 0:
-            zeros += 1
-    return g_base, g_disjoint, g_same, g_diff, sum_c, sum_c2, zeros
+        if not _is_occurrence(adj, r1, o1, p, code):
+            return False, False, False, False, c
+        return (True, pair_ok and _is_occurrence(adj, rd, od, p, code),
+                _is_occurrence(adj, rs, os_, p, code),
+                _is_occurrence(adj, ro, oo, p, code), c)
+
+    return _sweep(outcome, n, _sequences(n, lo, hi))
 
 
 def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
@@ -272,17 +242,12 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
     if n < p + 2:
         raise TooSmallError(
             f"verification needs n >= p + 2 = {p + 2}, got n = {n}")
-    code = pat.canonical.code
-    if workers <= 1 or n == 2:
-        acc = _moment_chunk((n, p, code, None))
-    else:
-        jobs = [(n, p, code, heads) for heads in _chunk_heads(n, workers)]
-        acc = (0,) * 7
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            for part in pool.map(_moment_chunk, jobs):
-                acc = tuple(a + b for a, b in zip(acc, part))
-    g_base, g_disjoint, g_same, g_diff, sum_c, sum_c2, zeros = acc
+    tally = _fan_out(_moment_job, (n, p, pat.canonical.code), 0, _blocks(n),
+                     workers)
+    g_base, g_disjoint, g_same, g_diff = (
+        sum(c for key, c in tally.items() if key[i]) for i in range(4))
     total = n ** (n - 2)
+    dist = ExactDistribution(n, pat, _marginal(tally, 4), total)
     pair_ok = n >= 2 * (p + 1)
     checks: list[FormulaCheck] = []
 
@@ -297,7 +262,7 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
 
     compare("tuple_probability", Fraction(g_base, total),
             occurrence_probability(pat, n))
-    compare("mean_count", Fraction(sum_c, total), mean_pattern_count(pat, n))
+    compare("mean_count", dist.mean, mean_pattern_count(pat, n))
     if pair_ok:
         compare("pair_disjoint", Fraction(g_disjoint, total),
                 pair_occurrence_probability(pat, n, PairRelation.ALL_DISTINCT))
@@ -319,9 +284,9 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
         skip("pair_overlap_same_root")
         skip("pair_overlap_diff_root")
     if pair_ok:
-        compare("second_moment", Fraction(sum_c2, total),
+        compare("second_moment", dist.second_moment,
                 second_moment_pattern_count(pat, n))
-        p_zero = Fraction(zeros, total)
+        p_zero = dist.p_zero
         bound = chebyshev_zero_bound(pat, n)
         status = _OK if p_zero <= bound else _FAIL
         checks.append(FormulaCheck("zero_probability_bound", p_zero, bound,

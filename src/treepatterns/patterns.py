@@ -11,13 +11,16 @@ the right size and compares canonical codes.
 
 from __future__ import annotations
 
+import os
 import re
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DuplicateVerticesError, FormatError, IndexOutOfRangeError
 from .isomorphism import RootedPattern, ahu_code
-from .trees import RootedTree, Tree, build_tree
+from .trees import RootedTree, Tree, _decode_edges, build_tree
 
 __all__ = [
     "PatternOccurrence",
@@ -153,6 +156,42 @@ def _count_multi(n: int, adj, targets) -> list[int]:
                 if c == code:
                     counts[i] += 1
     return counts
+
+
+def _sweep(outcome, n: int, seqs) -> Counter:
+    """Decode each Pruefer sequence on n vertices once and tally
+    outcome(adjacency lists) over the trees."""
+    tally: Counter = Counter()
+    for seq in seqs:
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for u, v in _decode_edges(seq, n):
+            adj[u].append(v)
+            adj[v].append(u)
+        tally[outcome(adj)] += 1
+    return tally
+
+
+def _worker_count(workers: int, parts: int) -> int:
+    # Results never depend on the split, so asking for more processes
+    # than there are parts or CPUs only costs OS resources.
+    return max(1, min(workers, parts, os.cpu_count() or 1))
+
+
+def _fan_out(job, args, lo: int, hi: int, workers: int) -> Counter:
+    """Sum of job(args, a, b) over contiguous parts [a, b) of lo..hi.
+
+    One part runs in this process; several run in a process pool, so job
+    must be a module-level function and args picklable.
+    """
+    k = _worker_count(workers, hi - lo)
+    if k == 1:
+        return job(args, lo, hi)
+    bounds = [lo + (hi - lo) * i // k for i in range(k + 1)]
+    total: Counter = Counter()
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        for part in pool.map(job, [args] * k, bounds[:-1], bounds[1:]):
+            total.update(part)
+    return total
 
 
 def count_patterns(t: Tree, pat: RootedPattern) -> int:

@@ -223,6 +223,40 @@ class TestMcAndConverge:
                          "--seed", "1"]) == cli.INPUT_ERROR
 
 
+def assert_one_line_input_error(rc, captured):
+    assert rc == cli.INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("treepatterns: ")
+    assert captured.err.count("\n") == 1
+
+
+class TestInputErrors:
+    def test_verify_far_past_the_cap_exits_two(self, capsys):
+        rc = cli.main(["verify", "--pattern", "cherry", "--n", "2000"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert "cap" in captured.err
+        assert len(captured.err) < 200
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_gen_without_vertices_exits_two(self, capsys, n):
+        rc = cli.main(["gen", "--n", n, "--seed", "1"])
+        assert_one_line_input_error(rc, capsys.readouterr())
+
+    @pytest.mark.parametrize("command, n_args", [
+        ("mc", ["--n", "10"]),
+        ("converge", ["--n-list", "10,20"]),
+    ])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_two(self, capsys, command, n_args,
+                                          samples):
+        rc = cli.main([command, "--pattern", "cherry", *n_args,
+                       "--samples", samples, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert "samples must be positive" in captured.err
+
+
 class TestUsageErrors:
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as exc:

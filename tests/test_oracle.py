@@ -21,7 +21,13 @@ from treepatterns import (
     verify_labelled_count,
     verify_moments,
 )
-from treepatterns.oracle import ExactDistribution, FormulaCheck
+from treepatterns import patterns
+from treepatterns.oracle import (
+    ExactDistribution,
+    FormulaCheck,
+    _blocks,
+    _moment_job,
+)
 
 import naive
 
@@ -101,6 +107,23 @@ class TestExactDistribution:
         parallel = exact_pattern_distribution(6, cherry(), workers=3)
         assert serial.histogram == parallel.histogram
         assert serial.total == parallel.total
+
+    def test_two_vertex_sweep_sees_one_tree_with_workers(self, monkeypatch):
+        # n = 2 is a one-part range: it runs in-process whatever the
+        # worker count, and both sweeps visit the single tree once.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-part sweep started a process pool")
+
+        monkeypatch.setattr(patterns, "ProcessPoolExecutor", no_pool)
+        d = exact_pattern_distribution(2, rooted_edge(), workers=3)
+        assert d.total == 1
+        assert d.histogram == {0: 1}
+        # verify_moments needs n >= p + 2 = 3, so its sweep is called
+        # directly at n = 2.
+        pat = rooted_edge()
+        tally = patterns._fan_out(_moment_job, (2, pat.p, pat.canonical.code),
+                                  0, _blocks(2), 3)
+        assert sum(tally.values()) == 1
 
     def test_histogram_must_cover_every_tree(self):
         with pytest.raises(RuntimeError):

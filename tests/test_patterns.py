@@ -1,4 +1,7 @@
-"""Occurrence testing, counting, and locating; builtin pattern names."""
+"""Occurrence testing, counting, and locating; builtin pattern names;
+the worker clamp of the shared sweep."""
+
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from treepatterns import (
     star_pattern,
     stream_for,
 )
-from treepatterns.patterns import is_builtin_pattern_name
+from treepatterns.patterns import _worker_count, is_builtin_pattern_name
 
 import naive
 
@@ -230,3 +233,23 @@ class TestBuiltinNames:
     ])
     def test_name_detection(self, name, expect):
         assert is_builtin_pattern_name(name) is expect
+
+
+class TestWorkerCount:
+    # The clamp is tested directly: starting a large pool to test it
+    # would ask the OS for that many processes.
+    def test_capped_by_cpus_and_parts(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(64, 1000) == 4
+        assert _worker_count(3, 1000) == 3
+        assert _worker_count(8, 2) == 2
+        assert _worker_count(8, 1) == 1
+
+    @pytest.mark.parametrize("workers", [1, 0, -3])
+    def test_at_least_one(self, monkeypatch, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(workers, 10) == 1
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(8, 100) == 1
