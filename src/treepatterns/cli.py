@@ -25,7 +25,12 @@ from .montecarlo import (
     sample_tree,
     stream_for,
 )
-from .oracle import DEFAULT_CAP, verify_labelled_count, verify_moments
+from .oracle import (
+    DEFAULT_CAP,
+    _check_cap,
+    verify_labelled_count,
+    verify_moments,
+)
 from .patterns import (
     BUILTIN_PATTERN_HELP,
     find_patterns,
@@ -181,6 +186,9 @@ def _cmd_verify(args) -> int:
             raise TreePatternError(
                 f"--n-max {n_max} is below the first verifiable n = "
                 f"{pat.p + 2}")
+    # Every n is checked against the cap before the first sweep, so an
+    # out-of-range --n-max fails at once instead of after the smaller n.
+    _check_cap(max(ns), args.cap)
     lc = verify_labelled_count(pat)
     results = [verify_moments(pat, n, cap=args.cap, workers=args.workers)
                for n in ns]

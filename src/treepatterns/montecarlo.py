@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DomainTooSmallError, SampleCountError, TooSmallError
 from .isomorphism import RootedPattern
 from .moments import chebyshev_zero_bound, mean_pattern_count, rational_str
-from .patterns import _count_multi, _fan_out, _sweep
+from .patterns import _fan_out, _occurrence_finder, _sweep
 from .trees import PruferSequence, Tree, prufer_decode
 
 _MASK = (1 << 64) - 1
@@ -162,9 +162,10 @@ class McEstimate:
 def _tally_job(args, lo: int, hi: int):
     # Same draws and same counting core as sample_tree + count_patterns,
     # minus the per-sample Tree object; the equivalence is under test.
-    n, seed, targets = args
+    n, seed, code = args
+    find = _occurrence_finder(n, [code])
     seqs = (stream_for(seed, k).randints(n - 2, n) for k in range(lo, hi))
-    return _sweep(lambda adj: _count_multi(n, adj, targets)[0], n, seqs)
+    return _sweep(lambda order, parent: len(find(order, parent)), n, seqs)
 
 
 def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
@@ -179,8 +180,8 @@ def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
             f"host tree needs at least p + 1 = {pat.p + 1} vertices")
     if samples < 1:
         raise SampleCountError(f"samples must be positive, got {samples}")
-    targets = [(pat.p + 1, pat.canonical.code)]
-    hist = _fan_out(_tally_job, (n, seed, targets), 0, samples, workers)
+    hist = _fan_out(_tally_job, (n, seed, pat.canonical.code), 0, samples,
+                    workers)
     return McEstimate(n, samples, seed, samples - hist[0],
                       sum(c * k for c, k in hist.items()),
                       sum(c * c * k for c, k in hist.items()))

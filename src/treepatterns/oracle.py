@@ -26,8 +26,14 @@ from .moments import (
     pair_occurrence_probability,
     second_moment_pattern_count,
 )
-from .patterns import _count_multi, _fan_out, _is_occurrence, _sweep
-from .trees import Tree, _decode_edges
+from .patterns import (
+    _adjacency,
+    _fan_out,
+    _is_occurrence,
+    _occurrence_finder,
+    _sweep,
+)
+from .trees import Tree, _decode, _tree_from_order
 
 DEFAULT_CAP = 9
 HARD_CAP = 10
@@ -59,7 +65,7 @@ def iter_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     """Yield every labelled tree on n vertices exactly once."""
     _check_cap(n, cap)
     for seq in _sequences(n, 0, _blocks(n)):
-        yield Tree(n, frozenset(_decode_edges(seq, n)))
+        yield _tree_from_order(n, *_decode(seq, n))
 
 
 def enumerate_trees(n: int, visitor: Callable[[Tree], None],
@@ -112,9 +118,16 @@ def _marginal(tally: Counter, i: int) -> dict[int, int]:
 
 
 def _counts_job(args, lo: int, hi: int) -> Counter:
-    n, targets = args
-    return _sweep(lambda adj: tuple(_count_multi(n, adj, targets)), n,
-                  _sequences(n, lo, hi))
+    n, codes = args
+    find = _occurrence_finder(n, codes)
+
+    def outcome(order, parent):
+        counts = [0] * len(codes)
+        for i, _, _ in find(order, parent):
+            counts[i] += 1
+        return tuple(counts)
+
+    return _sweep(outcome, n, _sequences(n, lo, hi))
 
 
 def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
@@ -122,8 +135,8 @@ def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
                                 workers: int = 1) -> list[ExactDistribution]:
     """Exact count distributions for several patterns in one sweep."""
     _check_cap(n, cap)
-    targets = [(pat.p + 1, pat.canonical.code) for pat in pats]
-    tally = _fan_out(_counts_job, (n, targets), 0, _blocks(n), workers)
+    codes = [pat.canonical.code for pat in pats]
+    tally = _fan_out(_counts_job, (n, codes), 0, _blocks(n), workers)
     total = n ** (n - 2)
     return [ExactDistribution(n, pat, _marginal(tally, i), total)
             for i, pat in enumerate(pats)]
@@ -157,8 +170,11 @@ def verify_labelled_count(pat: RootedPattern) -> LabelledCountReport:
         raise CapExceededError(f"pattern size {m} exceeds the rooted "
                                "enumeration cap 7")
     code = pat.canonical.code
-    tally = _sweep(lambda adj: ahu_code(adj, 1) == code, m,
-                   _sequences(m, 0, _blocks(m)))
+
+    def outcome(order, parent):
+        return ahu_code(_adjacency(m, order, parent), 1) == code
+
+    tally = _sweep(outcome, m, _sequences(m, 0, _blocks(m)))
     return LabelledCountReport(pat, tally[True], labelled_rooted_count(pat))
 
 
@@ -217,10 +233,11 @@ def _moment_job(args, lo: int, hi: int) -> Counter:
     rs, os_ = tup["overlap_same_root"]
     ro, oo = tup["overlap_diff_root"]
     pair_ok = n >= 2 * (p + 1)
-    targets = [(p + 1, code)]
+    find = _occurrence_finder(n, [code])
 
-    def outcome(adj):
-        c = _count_multi(n, adj, targets)[0]
+    def outcome(order, parent):
+        c = len(find(order, parent))
+        adj = _adjacency(n, order, parent)
         if not _is_occurrence(adj, r1, o1, p, code):
             return False, False, False, False, c
         return (True, pair_ok and _is_occurrence(adj, rd, od, p, code),

@@ -6,7 +6,17 @@ the pattern, where the root has exactly one neighbor outside the set and
 the other vertices have none.  Equivalently: cutting one edge of the host
 splits off the occurrence as a whole component, rooted at the cut end.
 Counting therefore scans the two sides of every edge for components of
-the right size and compares canonical codes.
+the right size.
+
+Shapes are compared as integers, after Aho, Hopcroft and Ullman: a table
+built from the pattern's canonical code numbers each of its fringe
+subtrees, keyed by the multiset of its children's IDs.  The counting core
+reads the host rooted at vertex n, as a child-before-parent order and a
+parent array: the Pruefer decoder yields these directly and
+count_patterns gets them from a DFS.  It adds up subtree sizes and IDs
+along the order and codes the side of an edge that holds n by a walk of
+at most m vertices up to n.  is_pattern stays on the definition and the
+string codes.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Iterable
 
 from .errors import DuplicateVerticesError, FormatError, IndexOutOfRangeError
 from .isomorphism import RootedPattern, ahu_code
-from .trees import RootedTree, Tree, _decode_edges, build_tree
+from .trees import RootedTree, Tree, _decode, build_tree
 
 __all__ = [
     "PatternOccurrence",
@@ -107,67 +117,139 @@ def is_pattern(t: Tree, occ: PatternOccurrence, pat: RootedPattern) -> bool:
                           pat.canonical.code)
 
 
-def _tree_shape(adj, n: int):
-    # Anchor a DFS at vertex 1: traversal order, parents, subtree sizes.
+def _shape_table(codes, base: int):
+    """Intern every fringe subtree of the canonical codes.
+
+    A shape's ID is its index in the table; the leaf is 0.  The key of a
+    shape is the base-`base` number whose digit i counts the children
+    with ID i, so a multiset of child IDs needs no sorting, and keys are
+    exact while no vertex has `base` or more children.  Returns the table
+    (key to ID), the weight base**i of each ID i, and the ID of each
+    code.  The parse keeps an explicit stack, so deep codes are safe.
+    """
+    table = {0: 0}
+    weight = [1]
+    ids = []
+    for code in codes:
+        stack = [0]
+        for ch in code:
+            if ch == "(":
+                stack.append(0)
+            else:
+                key = stack.pop()
+                h = table.setdefault(key, len(table))
+                if h == len(weight):
+                    weight.append(base ** h)
+                stack[-1] += weight[h]
+        ids.append(h)
+    return table, weight, ids
+
+
+def _occurrence_finder(n: int, codes):
+    """Counting core for trees on n vertices and the patterns with the
+    given canonical codes.
+
+    Returns find(order, parent): order lists every vertex but the root,
+    each after all of its children, parent[v] is v's parent and
+    parent[root] = 0.  find returns a (pattern index, occurrence root,
+    cut neighbour) triple per occurrence.  IDs are computed only for
+    subtrees no larger than the largest pattern.
+    """
+    # A shape missing from the table gets ID -1, so its weight is that of
+    # the last ID.  Shapes are numbered after their children, so no shape
+    # has the last one as a child: nothing above a missing shape matches.
+    table, weight, ids = _shape_table(codes, n + 1)
+    get = table.get
+    # near[s]: (pattern index, ID) pairs of the patterns with s vertices;
+    # far[s] the same for n - s, the size of the side across the edge.
+    near: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
+    top = 0
+    for i, (code, pid) in enumerate(zip(codes, ids)):
+        m = len(code) // 2  # one "(" and one ")" per vertex
+        if m <= n:
+            near[m] += ((i, pid),)
+            top = max(top, m)
+    far = [near[n - s] for s in range(n + 1)]
+
+    def find(order, parent) -> list[tuple[int, int, int]]:
+        size = [1] * (n + 1)
+        key = [0] * (n + 1)
+        hits = []
+        cuts = []
+        for v in order:
+            s = size[v]
+            pv = parent[v]
+            size[pv] += s
+            if s <= top:
+                h = get(key[v], -1)
+                key[pv] += weight[h]
+                group = near[s]
+                if group:
+                    for i, pid in group:
+                        if h == pid:
+                            hits.append((i, v, pv))
+            if far[s]:
+                cuts.append(v)
+        for v in cuts:
+            # The occurrence is the root's side, rooted at v's parent.
+            # Code it down the path from the root: each path vertex keeps
+            # its key but the path child's weight, and gains the weight of
+            # the part above it.  The path lies inside the occurrence, so
+            # it has at most m vertices.
+            path = [v]
+            u = parent[v]
+            while u:
+                path.append(u)
+                u = parent[u]
+            above = 0
+            for j in range(len(path) - 1, 0, -1):
+                below = path[j - 1]
+                k = key[path[j]] + above
+                if size[below] <= top:
+                    k -= weight[get(key[below], -1)]
+                h = get(k, -1)
+                above = weight[h]
+            for i, pid in far[size[v]]:
+                if h == pid:
+                    hits.append((i, path[1], v))
+        return hits
+
+    return find
+
+
+def _adjacency(n: int, order, parent) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in order:
+        w = parent[v]
+        adj[v].append(w)
+        adj[w].append(v)
+    return adj
+
+
+def _rooted_order(adj, n: int) -> tuple[list[int], list[int]]:
+    # Reversed preorder of a DFS from vertex n: children before parents.
     parent = [0] * (n + 1)
-    order = [1]
-    stack = [1]
+    order = []
+    stack = [n]
     while stack:
         v = stack.pop()
+        order.append(v)
         pv = parent[v]
         for w in adj[v]:
             if w != pv:
                 parent[w] = v
-                order.append(w)
                 stack.append(w)
-    size = [1] * (n + 1)
-    for v in reversed(order):
-        if v != 1:
-            size[parent[v]] += size[v]
-    return order, parent, size
-
-
-def _count_multi(n: int, adj, targets) -> list[int]:
-    """Count occurrences of several patterns in one pass.
-
-    targets is a list of (vertex count, canonical code) pairs.  Each edge
-    contributes a candidate side per orientation whose component has the
-    requested size; the component code decides the match.
-    """
-    counts = [0] * len(targets)
-    if n < 2:
-        return counts
-    by_size: dict[int, list[tuple[int, str]]] = {}
-    for i, (m, code) in enumerate(targets):
-        by_size.setdefault(m, []).append((i, code))
-    order, parent, size = _tree_shape(adj, n)
-    for v in order[1:]:
-        pv = parent[v]
-        group = by_size.get(size[v])
-        if group is not None:
-            c = ahu_code(adj, v, blocked=pv)
-            for i, code in group:
-                if c == code:
-                    counts[i] += 1
-        group = by_size.get(n - size[v])
-        if group is not None:
-            c = ahu_code(adj, pv, blocked=v)
-            for i, code in group:
-                if c == code:
-                    counts[i] += 1
-    return counts
+    order.reverse()
+    order.pop()
+    return order, parent
 
 
 def _sweep(outcome, n: int, seqs) -> Counter:
     """Decode each Pruefer sequence on n vertices once and tally
-    outcome(adjacency lists) over the trees."""
+    outcome(order, parent) over the trees."""
     tally: Counter = Counter()
     for seq in seqs:
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in _decode_edges(seq, n):
-            adj[u].append(v)
-            adj[v].append(u)
-        tally[outcome(adj)] += 1
+        tally[outcome(*_decode(seq, n))] += 1
     return tally
 
 
@@ -194,9 +276,14 @@ def _fan_out(job, args, lo: int, hi: int, workers: int) -> Counter:
     return total
 
 
+def _pattern_cuts(t: Tree, pat: RootedPattern) -> list[tuple[int, int, int]]:
+    order, parent = _rooted_order(t.adjacency, t.n)
+    return _occurrence_finder(t.n, [pat.canonical.code])(order, parent)
+
+
 def count_patterns(t: Tree, pat: RootedPattern) -> int:
     """Number of occurrences of pat in t."""
-    return _count_multi(t.n, t.adjacency, [(pat.p + 1, pat.canonical.code)])[0]
+    return len(_pattern_cuts(t, pat))
 
 
 def _component(adj, root: int, blocked: int) -> list[int]:
@@ -213,22 +300,9 @@ def _component(adj, root: int, blocked: int) -> list[int]:
 
 def find_patterns(t: Tree, pat: RootedPattern) -> list[PatternOccurrence]:
     """All occurrences of pat in t, sorted by root then vertex set."""
-    n = t.n
     adj = t.adjacency
-    m = pat.p + 1
-    code = pat.canonical.code
-    hits: list[PatternOccurrence] = []
-    if n >= 2:
-        order, parent, size = _tree_shape(adj, n)
-        for v in order[1:]:
-            pv = parent[v]
-            if size[v] == m and ahu_code(adj, v, blocked=pv) == code:
-                verts = _component(adj, v, pv)
-                hits.append(PatternOccurrence(v, [x for x in verts if x != v]))
-            if n - size[v] == m and ahu_code(adj, pv, blocked=v) == code:
-                verts = _component(adj, pv, v)
-                hits.append(
-                    PatternOccurrence(pv, [x for x in verts if x != pv]))
+    hits = [PatternOccurrence(root, _component(adj, root, cut)[1:])
+            for _, root, cut in _pattern_cuts(t, pat)]
     hits.sort(key=PatternOccurrence.sort_key)
     return hits
 

@@ -133,20 +133,25 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     return t
 
 
-def _decode_edges(seq: Sequence[int], n: int) -> list[Edge]:
+def _decode(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     # Linear-time decode.  At each step the smallest-labelled remaining
     # leaf is joined to the next sequence entry; vertex n survives to the
-    # final edge.
+    # final edge.  Rooted at n, every leaf is removed after all of its
+    # children, so the removal order lists each vertex but n once, child
+    # before parent; parent[v] is the entry v was joined to, and
+    # parent[n] = 0.
     deg = [1] * (n + 1)
     for s in seq:
         deg[s] += 1
-    edges: list[Edge] = []
+    parent = [0] * (n + 1)
+    order: list[int] = []
     ptr = 1
     while deg[ptr] != 1:
         ptr += 1
     leaf = ptr
     for s in seq:
-        edges.append((leaf, s) if leaf < s else (s, leaf))
+        order.append(leaf)
+        parent[leaf] = s
         deg[s] -= 1
         if deg[s] == 1 and s < ptr:
             leaf = s
@@ -155,13 +160,22 @@ def _decode_edges(seq: Sequence[int], n: int) -> list[Edge]:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n))
-    return edges
+    order.append(leaf)
+    parent[leaf] = n
+    return order, parent
+
+
+def _tree_from_order(n: int, order: list[int], parent: list[int]) -> Tree:
+    edges: list[Edge] = []
+    for v in order:
+        w = parent[v]
+        edges.append((v, w) if v < w else (w, v))
+    return Tree(n, frozenset(edges))
 
 
 def prufer_decode(s: PruferSequence) -> Tree:
     """Decode a Pruefer sequence into the unique tree it encodes."""
-    return Tree(s.n, frozenset(_decode_edges(s.seq, s.n)))
+    return _tree_from_order(s.n, *_decode(s.seq, s.n))
 
 
 def prufer_encode(t: Tree) -> PruferSequence:

@@ -238,6 +238,20 @@ class TestInputErrors:
         assert "cap" in captured.err
         assert len(captured.err) < 200
 
+    def test_verify_n_max_past_the_cap_sweeps_nothing(self, capsys,
+                                                       monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept below an out-of-range --n-max")
+
+        monkeypatch.setattr(cli, "verify_moments", no_sweep)
+        monkeypatch.setattr(cli, "verify_labelled_count", no_sweep)
+        rc = cli.main(["verify", "--pattern", "edge", "--n-max", "6",
+                       "--cap", "5"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == ("treepatterns: n = 6 exceeds the enumeration "
+                                "cap 5 (6**4 trees)\n")
+
     @pytest.mark.parametrize("n", ["0", "-4"])
     def test_gen_without_vertices_exits_two(self, capsys, n):
         rc = cli.main(["gen", "--n", n, "--seed", "1"])

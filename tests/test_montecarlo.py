@@ -20,12 +20,14 @@ from treepatterns import (
     exact_pattern_distribution,
     mean_pattern_count,
     mix64,
+    pattern_from_name,
     prufer_decode,
     rooted_edge,
     sample_tree,
     star_pattern,
     stream_for,
 )
+from treepatterns import montecarlo
 from treepatterns.montecarlo import CSV_HEADER, _wilson
 
 
@@ -189,6 +191,21 @@ class TestEstimatePatternStats:
         e = estimate_pattern_stats(cherry(), 3, 50, seed=1)
         assert e.hits_ge1 == 0
         assert e.sum_count == 0
+
+    def test_deep_pattern_holding_vertex_n(self, monkeypatch):
+        # Every draw is the Pruefer sequence 2..n-1 of the path 1-2-...-n,
+        # which holds path1500@end twice at n = 1501: once rooted at 2,
+        # running up to n, and once rooted at 1500.  The walk to n covers
+        # 1500 vertices and must not recurse.
+        class PathStream:
+            def randints(self, count, n):
+                return list(range(2, n))
+
+        monkeypatch.setattr(montecarlo, "stream_for",
+                            lambda seed, index: PathStream())
+        e = estimate_pattern_stats(pattern_from_name("path1500@end"), 1501,
+                                   2, seed=0)
+        assert (e.hits_ge1, e.sum_count, e.sum_count_sq) == (2, 4, 8)
 
     def test_too_small_host_raises(self):
         with pytest.raises(DomainTooSmallError):

@@ -1,5 +1,6 @@
 """Exhaustive enumeration: tree sweeps, exact distributions, formula checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from treepatterns import (
     iter_trees,
     mean_pattern_count,
     path_pattern_end,
+    pattern_from_name,
     rooted_edge,
     second_moment_pattern_count,
     star_pattern,
@@ -26,6 +28,7 @@ from treepatterns.oracle import (
     ExactDistribution,
     FormulaCheck,
     _blocks,
+    _counts_job,
     _moment_job,
 )
 
@@ -132,6 +135,44 @@ class TestExactDistribution:
     def test_cap_applies(self):
         with pytest.raises(CapExceededError):
             exact_pattern_distribution(10, rooted_edge())
+
+
+class TestMixedSizeCounts:
+    # One sweep counts patterns of different sizes; the IDs of all of
+    # them live in one table and are computed up to the largest size.
+    NAMES = ["edge", "cherry", "star3", "path4@end"]
+
+    # The joint histogram at n = 7, keyed by the four counts.  Checked
+    # once against naive.naive_count over all 16807 trees, which takes
+    # about 20 s, too long to repeat here.
+    JOINT_7 = {
+        (0, 0, 0, 0): 7, (0, 1, 1, 0): 420, (0, 2, 0, 0): 630,
+        (1, 0, 0, 0): 210, (1, 0, 1, 0): 840, (1, 1, 0, 0): 2520,
+        (1, 1, 0, 1): 2520, (2, 0, 0, 0): 6300, (2, 0, 0, 2): 2520,
+        (3, 0, 0, 0): 840,
+    }
+
+    def joint(self, n):
+        codes = [pattern_from_name(name).canonical.code for name in self.NAMES]
+        return _counts_job((n, codes), 0, _blocks(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_joint_histogram_matches_the_naive_count(self, n):
+        pats = [pattern_from_name(name) for name in self.NAMES]
+        want = Counter(tuple(naive.naive_count(t, pat) for pat in pats)
+                       for t in naive.all_trees(n))
+        assert self.joint(n) == want
+
+    def test_joint_histogram_at_seven(self):
+        assert self.joint(7) == self.JOINT_7
+
+    def test_batch_marginals_at_seven(self):
+        pats = [pattern_from_name(name) for name in self.NAMES]
+        for i, dist in enumerate(exact_pattern_distributions(7, pats)):
+            want = Counter()
+            for key, c in self.JOINT_7.items():
+                want[key[i]] += c
+            assert dist.histogram == dict(want)
 
 
 class TestVerifyLabelledCount:

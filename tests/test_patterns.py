@@ -22,11 +22,17 @@ from treepatterns import (
     path_pattern_mid,
     pattern_from_name,
     prufer_decode,
+    prufer_encode,
     rooted_edge,
     star_pattern,
     stream_for,
 )
-from treepatterns.patterns import _worker_count, is_builtin_pattern_name
+from treepatterns.patterns import (
+    _occurrence_finder,
+    _worker_count,
+    is_builtin_pattern_name,
+)
+from treepatterns.trees import _decode
 
 import naive
 
@@ -182,6 +188,68 @@ class TestCountAndFind:
             got = [(o.root, tuple(sorted(o.others)))
                    for o in find_patterns(mapped, pat)]
             assert got == want
+
+
+MIXED_NAMES = ["edge", "cherry", "star3", "path4@end"]
+
+
+def decoded_count(t, pat):
+    """Count through the Pruefer decode order, as the samplers do."""
+    order, parent = _decode(prufer_encode(t).seq, t.n)
+    return len(_occurrence_finder(t.n, [pat.canonical.code])(order, parent))
+
+
+class TestCountingCore:
+    # Both callers root the host at vertex n: count_patterns through a
+    # DFS, the samplers through the decoder.  The side of an edge that
+    # holds n is coded by the walk up to n, the other by the bottom-up
+    # pass; each host below needs one or both.
+
+    @pytest.mark.parametrize("name", MIXED_NAMES)
+    def test_both_sides_of_one_edge_match_at_twice_the_size(self, name):
+        # Two copies of the pattern joined at their roots: n = 2m.
+        pat = pattern_from_name(name)
+        m = pat.p + 1
+        r = pat.shape.root
+        edges = sorted(pat.shape.tree.edges)
+        host = build_tree(2 * m, edges + [(u + m, v + m) for u, v in edges]
+                          + [(r, r + m)])
+        assert naive.naive_count(host, pat) >= 2
+        assert count_patterns(host, pat) == naive.naive_count(host, pat)
+        assert decoded_count(host, pat) == naive.naive_count(host, pat)
+
+    @pytest.mark.parametrize("name", MIXED_NAMES)
+    def test_occurrence_holding_vertex_n(self, name):
+        # A path 1-2-3 with the pattern hung from vertex 3 by its root;
+        # each pattern vertex in turn carries the label n.
+        pat = pattern_from_name(name)
+        m = pat.p + 1
+        n = 3 + m
+        r = pat.shape.root
+        for w in range(1, m + 1):
+            rest = iter(range(4, n))
+            label = {x: n if x == w else next(rest) for x in range(1, m + 1)}
+            host = build_tree(n, [(1, 2), (2, 3), (3, label[r])]
+                              + [(label[u], label[v])
+                                 for u, v in pat.shape.tree.edges])
+            want = naive.naive_count(host, pat)
+            assert want >= 1
+            assert count_patterns(host, pat) == want
+            assert decoded_count(host, pat) == want
+            roots = {o.root for o in find_patterns(host, pat)
+                     if n in o.vertices}
+            assert roots == {label[r]}
+
+    def test_deep_pattern_holding_vertex_n(self):
+        # path1500@end occurs twice in a 1501-vertex path: rooted at 1500
+        # away from n, and rooted at 2 with n at the far end.  Walking
+        # 1500 vertices up to n must not recurse.
+        pat = pattern_from_name("path1500@end")
+        host = path(1501)
+        assert count_patterns(host, pat) == 2
+        got = [(o.root, min(o.others), max(o.others))
+               for o in find_patterns(host, pat)]
+        assert got == [(2, 3, 1501), (1500, 1, 1499)]
 
 
 class TestBuiltinNames:

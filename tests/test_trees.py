@@ -24,6 +24,7 @@ from treepatterns import (
     tree_from_text,
     tree_to_text,
 )
+from treepatterns.trees import _decode
 
 import naive
 
@@ -99,12 +100,27 @@ class TestPruferDecode:
     def test_known_sequences(self, n, seq, edges):
         assert prufer_decode(PruferSequence(n, seq)).edges == frozenset(edges)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_heap_decoder_exhaustively(self, n):
         from itertools import product
         for seq in product(range(1, n + 1), repeat=n - 2):
             fast = prufer_decode(PruferSequence(n, seq)).edges
             assert fast == frozenset(naive.heap_decode(seq, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_order_lists_children_before_parents(self, n):
+        # The counting core relies on this: rooted at n, every other
+        # vertex appears once, after all of its children.
+        from itertools import product
+        for seq in product(range(1, n + 1), repeat=n - 2):
+            order, parent = _decode(seq, n)
+            assert sorted(order) == list(range(1, n))
+            assert parent[n] == 0
+            place = {v: i for i, v in enumerate(order)}
+            place[n] = n
+            assert all(place[v] < place[parent[v]] for v in order)
+            assert ({(min(v, parent[v]), max(v, parent[v])) for v in order}
+                    == set(naive.heap_decode(seq, n)))
 
     @pytest.mark.parametrize("n, count", [(3, 3), (4, 16), (5, 125)])
     def test_decoding_is_injective(self, n, count):
