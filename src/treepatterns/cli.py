@@ -28,6 +28,7 @@ from .montecarlo import (
 from .oracle import (
     DEFAULT_CAP,
     _check_cap,
+    _check_verifiable,
     verify_labelled_count,
     verify_moments,
 )
@@ -186,9 +187,10 @@ def _cmd_verify(args) -> int:
             raise TreePatternError(
                 f"--n-max {n_max} is below the first verifiable n = "
                 f"{pat.p + 2}")
-    # Every n is checked against the cap before the first sweep, so an
-    # out-of-range --n-max fails at once instead of after the smaller n.
+    # Every n is checked before the first sweep, so an out-of-range --n or
+    # --n-max fails at once instead of after the other sweeps.
     _check_cap(max(ns), args.cap)
+    _check_verifiable(pat, min(ns))
     lc = verify_labelled_count(pat)
     results = [verify_moments(pat, n, cap=args.cap, workers=args.workers)
                for n in ns]
@@ -337,10 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify", _cmd_verify,
              "compare formulas against exhaustive enumeration")
     sp.add_argument("--pattern", required=True, metavar="FILE|NAME")
-    sp.add_argument("--n", type=int, default=None,
-                    help="verify a single n")
-    sp.add_argument("--n-max", type=int, default=None,
-                    help="verify every n from p + 2 up to this")
+    one_or_all = sp.add_mutually_exclusive_group()
+    one_or_all.add_argument("--n", type=int, default=None,
+                            help="verify a single n")
+    one_or_all.add_argument("--n-max", type=int, default=None,
+                            help="verify every n from p + 2 up to this")
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
                     help="enumeration cap (hard limit 10)")
     sp.add_argument("--workers", type=int, default=1)

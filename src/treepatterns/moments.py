@@ -1,19 +1,18 @@
 """Exact moments of pattern counts over uniform random labelled trees.
 
-All values are exact rationals built from integer arithmetic; n**(n - 2)
-grows to thousands of digits and is never pushed through floating point.
-Writing m = p + 1 for the pattern size and L = p!/aut for the number of
-labelled rooted shapes on a fixed vertex set:
+All values are exact rationals from integer arithmetic; n**(n - 2) grows
+to thousands of digits and is never pushed through floating point.  With
+m = p + 1, L = p!/aut labelled rooted shapes on a fixed vertex set and
+k = n - j*m, every value comes from one closed form: j fixed disjoint
+(root, others) tuples are all occurrences with probability
 
-  occurrence probability of one fixed tuple   L * (n-m)**(n-m-1) / n**(n-2)
-  mean count over all tuples                  n * C(n-1, p) * the above
-  second moment (n >= 2m; 0**0 == 1)
-      [ n! (n-2m)**(n-2m) / (aut**2 (n-2m)!)
-        + n! (n-m)**(n-m-1) / (aut (n-m)!) ] / n**(n-2)
+  q_j = L**j * k**(k + j - 2) / n**(n - 2)      (0**0 == 1).
 
-The zero-probability bound is the one-sided Chebyshev consequence
-P(count = 0) <= second/mean**2 - 1, and mean/n tends to
-exp(-m) / aut, the reported asymptotic slope.
+There are T_j = n!/(k! p!**j) ordered j-tuples of such tuples, so
+E[X] = T_1 q_1; for n >= 2m distinct occurrences are disjoint, so
+E[X**2] = T_2 q_2 + E[X].  P(X = 0) <= E[X**2]/E[X]**2 - 1 is the
+one-sided Chebyshev bound, and E[X]/n tends to exp(-m) / aut, the
+reported asymptotic slope.
 """
 
 from __future__ import annotations
@@ -41,6 +40,19 @@ def _require(n: int, least: int, what: str) -> None:
         raise DomainTooSmallError(f"{what} needs n >= {least}, got n = {n}")
 
 
+def _joint_probability(pat: RootedPattern, n: int, j: int,
+                       what: str) -> Fraction:
+    # n >= j*p + 2 keeps k + j - 2 >= 0; `what` names the caller's formula.
+    _require(n, j * pat.p + 2, what)
+    k = n - j * (pat.p + 1)
+    return Fraction(labelled_rooted_count(pat) ** j * k ** (k + j - 2),
+                    n ** (n - 2))
+
+
+def _tuple_count(pat: RootedPattern, n: int, j: int) -> int:
+    return math.perm(n, j * (pat.p + 1)) // math.factorial(pat.p) ** j
+
+
 def occurrence_probability(pat: RootedPattern, n: int, *,
                            duplicate_indices: bool = False) -> Fraction:
     """Probability that one fixed (root, others) tuple is an occurrence.
@@ -50,19 +62,13 @@ def occurrence_probability(pat: RootedPattern, n: int, *,
     """
     if duplicate_indices:
         return Fraction(0)
-    m = pat.p + 1
-    _require(n, m + 1, "occurrence probability")
-    lc = labelled_rooted_count(pat)
-    return Fraction(lc * (n - m) ** (n - m - 1), n ** (n - 2))
+    return _joint_probability(pat, n, 1, "occurrence probability")
 
 
 def mean_pattern_count(pat: RootedPattern, n: int) -> Fraction:
     """Expected number of occurrences in a uniform tree on n vertices."""
-    m = pat.p + 1
-    _require(n, m + 1, "mean pattern count")
-    lc = labelled_rooted_count(pat)
-    num = n * math.comb(n - 1, pat.p) * lc * (n - m) ** (n - m - 1)
-    return Fraction(num, n ** (n - 2))
+    return (_tuple_count(pat, n, 1)
+            * _joint_probability(pat, n, 1, "mean pattern count"))
 
 
 def pair_occurrence_probability(pat: RootedPattern, n: int,
@@ -75,40 +81,39 @@ def pair_occurrence_probability(pat: RootedPattern, n: int,
     never both be occurrences (below that bound hosts are too cramped for
     the exclusion argument, so the zero only applies from there on).
     """
-    m = pat.p + 1
     if relation is PairRelation.OTHER:
         return Fraction(0)
     if relation is PairRelation.SAME_ROOT_SAME_SET:
         return occurrence_probability(pat, n)
-    _require(n, 2 * m, "disjoint pair probability")
-    lc = labelled_rooted_count(pat)
-    k = n - 2 * m
-    return Fraction(lc * lc * k ** k, n ** (n - 2))
+    return _joint_probability(pat, n, 2, "disjoint pair probability")
+
+
+def _moments(pat: RootedPattern, n: int) -> tuple[Fraction, Fraction]:
+    mean = mean_pattern_count(pat, n)
+    q2 = _joint_probability(pat, n, 2, "second moment")
+    return mean, _tuple_count(pat, n, 2) * q2 + mean
+
+
+def _zero_bound(mean: Fraction, second: Fraction) -> Fraction:
+    if mean == 0:
+        raise ZeroMeanError("zero mean; the ratio bound is undefined")
+    return second / (mean * mean) - 1
 
 
 def second_moment_pattern_count(pat: RootedPattern, n: int) -> Fraction:
     """Exact second moment of the occurrence count; needs n >= 2(p + 1)."""
-    m = pat.p + 1
-    _require(n, 2 * m, "second moment")
-    a = pat.aut_root_order
-    k = n - 2 * m
-    nf = math.factorial(n)
-    pairs = Fraction(nf * k ** k, a * a * math.factorial(k))
-    diag = Fraction(nf * (n - m) ** (n - m - 1), a * math.factorial(n - m))
-    return (pairs + diag) / n ** (n - 2)
+    _require(n, 2 * (pat.p + 1), "second moment")  # ahead of the mean's check
+    return _moments(pat, n)[1]
 
 
 def variance_pattern_count(pat: RootedPattern, n: int) -> Fraction:
-    mean = mean_pattern_count(pat, n)
-    return second_moment_pattern_count(pat, n) - mean * mean
+    mean, second = _moments(pat, n)
+    return second - mean * mean
 
 
 def chebyshev_zero_bound(pat: RootedPattern, n: int) -> Fraction:
     """Upper bound on P(no occurrence): second/mean**2 - 1."""
-    mean = mean_pattern_count(pat, n)
-    if mean == 0:
-        raise ZeroMeanError("zero mean; the ratio bound is undefined")
-    return second_moment_pattern_count(pat, n) / (mean * mean) - 1
+    return _zero_bound(*_moments(pat, n))
 
 
 def asymptotic_slope(pat: RootedPattern) -> float:
@@ -152,15 +157,9 @@ class MomentReport:
 
 
 def moment_report(pat: RootedPattern, n: int) -> MomentReport:
-    mean = mean_pattern_count(pat, n)
-    second = second_moment_pattern_count(pat, n)
-    return MomentReport(
-        n=n,
-        p=pat.p,
-        aut_root_order=pat.aut_root_order,
-        mean=mean,
-        second_moment=second,
-        variance=second - mean * mean,
-        chebyshev_zero_bound=second / (mean * mean) - 1,
-        asymptotic_slope=asymptotic_slope(pat),
-    )
+    mean, second = _moments(pat, n)
+    return MomentReport(n=n, p=pat.p, aut_root_order=pat.aut_root_order,
+                        mean=mean, second_moment=second,
+                        variance=second - mean * mean,
+                        chebyshev_zero_bound=_zero_bound(mean, second),
+                        asymptotic_slope=asymptotic_slope(pat))

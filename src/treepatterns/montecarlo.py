@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainTooSmallError, SampleCountError, TooSmallError
 from .isomorphism import RootedPattern
-from .moments import chebyshev_zero_bound, mean_pattern_count, rational_str
+from .moments import _moments, _zero_bound, mean_pattern_count, rational_str
 from .patterns import _fan_out, _occurrence_finder, _sweep
 from .trees import PruferSequence, Tree, prufer_decode
 
@@ -211,9 +211,12 @@ def convergence_experiment(pat: RootedPattern, n_list, samples: int,
     rows = []
     for n in n_list:
         est = estimate_pattern_stats(pat, n, samples, seed, workers)
-        exact = mean_pattern_count(pat, n) if n >= pat.p + 2 else None
-        bound = (chebyshev_zero_bound(pat, n)
-                 if n >= 2 * (pat.p + 1) else None)
+        exact = bound = None
+        if n >= 2 * (pat.p + 1):
+            exact, second = _moments(pat, n)
+            bound = _zero_bound(exact, second)
+        elif n >= pat.p + 2:
+            exact = mean_pattern_count(pat, n)
         rows.append(ConvergenceRow(est, exact, bound))
     return rows
 

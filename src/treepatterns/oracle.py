@@ -48,6 +48,12 @@ def _check_cap(n: int, cap: int) -> None:
             f"({n}**{n - 2} trees)")
 
 
+def _check_verifiable(pat: RootedPattern, n: int) -> None:
+    if n < pat.p + 2:
+        raise TooSmallError(
+            f"verification needs n >= p + 2 = {pat.p + 2}, got n = {n}")
+
+
 def _blocks(n: int) -> int:
     return n if n > 2 else 1
 
@@ -255,10 +261,8 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
     n >= 2(p + 1)) are reported as skipped rather than failed.
     """
     _check_cap(n, cap)
+    _check_verifiable(pat, n)
     p = pat.p
-    if n < p + 2:
-        raise TooSmallError(
-            f"verification needs n >= p + 2 = {p + 2}, got n = {n}")
     tally = _fan_out(_moment_job, (n, p, pat.canonical.code), 0, _blocks(n),
                      workers)
     g_base, g_disjoint, g_same, g_diff = (

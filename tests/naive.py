@@ -2,14 +2,18 @@
 
 Everything here favors obvious correctness over speed and stays away from
 the library's fast paths: decoding uses a heap, isomorphism and
-automorphism counts try every bijection, and occurrence testing checks
-the definition directly.  Keep these naive; they are the ground truth the
-clever code is measured against.
+automorphism counts try every bijection, occurrence testing checks the
+definition directly, and the exact moments are written out in their
+separate factorial forms rather than through one joint probability.  Keep
+these naive; they are the ground truth the clever code is measured
+against.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
@@ -184,3 +188,37 @@ def random_trees(draw, min_n=2, max_n=9):
     n = draw(st.integers(min_n, max_n))
     seq = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
     return prufer_decode(PruferSequence(n, tuple(seq)))
+
+
+def closed_form_tuple_probability(pat, n):
+    """L (n-m)**(n-m-1) / n**(n-2), with L = p!/aut and m = p + 1."""
+    m = pat.p + 1
+    lc = math.factorial(pat.p) // pat.aut_root_order
+    return Fraction(lc * (n - m) ** (n - m - 1), n ** (n - 2))
+
+
+def closed_form_mean(pat, n):
+    """n C(n-1, p) L (n-m)**(n-m-1) / n**(n-2); needs n >= p + 2."""
+    m = pat.p + 1
+    lc = math.factorial(pat.p) // pat.aut_root_order
+    return Fraction(n * math.comb(n - 1, pat.p) * lc * (n - m) ** (n - m - 1),
+                    n ** (n - 2))
+
+
+def closed_form_pair_probability(pat, n):
+    """L**2 (n-2m)**(n-2m) / n**(n-2) for two disjoint tuples (0**0 == 1)."""
+    k = n - 2 * (pat.p + 1)
+    lc = math.factorial(pat.p) // pat.aut_root_order
+    return Fraction(lc * lc * k ** k, n ** (n - 2))
+
+
+def closed_form_second_moment(pat, n):
+    """[n! (n-2m)**(n-2m) / (aut**2 (n-2m)!)
+        + n! (n-m)**(n-m-1) / (aut (n-m)!)] / n**(n-2); needs n >= 2m."""
+    m = pat.p + 1
+    a = pat.aut_root_order
+    k = n - 2 * m
+    nf = math.factorial(n)
+    pairs = Fraction(nf * k ** k, a * a * math.factorial(k))
+    diag = Fraction(nf * (n - m) ** (n - m - 1), a * math.factorial(n - m))
+    return (pairs + diag) / n ** (n - 2)

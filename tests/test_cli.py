@@ -252,6 +252,29 @@ class TestInputErrors:
         assert captured.err == ("treepatterns: n = 6 exceeds the enumeration "
                                 "cap 5 (6**4 trees)\n")
 
+    def test_verify_below_p_plus_two_sweeps_nothing(self, capsys,
+                                                     monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept below the first verifiable n")
+
+        monkeypatch.setattr(cli, "verify_moments", no_sweep)
+        monkeypatch.setattr(cli, "verify_labelled_count", no_sweep)
+        rc = cli.main(["verify", "--pattern", "star3", "--n", "4"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == ("treepatterns: verification needs "
+                                "n >= p + 2 = 5, got n = 4\n")
+
+    def test_verify_n_with_n_max_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--pattern", "edge", "--n", "4",
+                      "--n-max", "5"])
+        assert exc.value.code == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("treepatterns verify: error: argument "
+                                "--n-max: not allowed with argument --n\n")
+
     @pytest.mark.parametrize("n", ["0", "-4"])
     def test_gen_without_vertices_exits_two(self, capsys, n):
         rc = cli.main(["gen", "--n", n, "--seed", "1"])

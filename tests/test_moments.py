@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import naive
 from treepatterns import (
     DomainTooSmallError,
     PairRelation,
@@ -16,6 +17,7 @@ from treepatterns import (
     occurrence_probability,
     pair_occurrence_probability,
     path_pattern_end,
+    pattern_from_name,
     rooted_edge,
     second_moment_pattern_count,
     star_pattern,
@@ -210,6 +212,51 @@ class TestMomentReport:
     def test_below_domain_raises(self):
         with pytest.raises(DomainTooSmallError):
             moment_report(cherry(), 5)
+
+
+REFERENCE_PATTERNS = ["edge", "cherry", "star3", "path4@end", "path5@mid"]
+
+
+class TestAgainstTheFactorialForms:
+    """Every wrapper against the separate closed forms in naive.py, up to
+    the benchmark ladder's sizes, where the oracle cannot reach.  Values
+    are compared as Fractions: at n = 2000 they pass 4300 digits."""
+
+    @pytest.mark.parametrize("name", REFERENCE_PATTERNS)
+    @pytest.mark.parametrize("n", ["2m", "2m+1", 50, 777, 2000])
+    def test_every_wrapper_and_report_field(self, name, n):
+        pat = pattern_from_name(name)
+        m = pat.p + 1
+        n = {"2m": 2 * m, "2m+1": 2 * m + 1}.get(n, n)
+        mean = naive.closed_form_mean(pat, n)
+        second = naive.closed_form_second_moment(pat, n)
+        variance = second - mean * mean
+        bound = second / (mean * mean) - 1
+        tuple_p = naive.closed_form_tuple_probability(pat, n)
+        assert occurrence_probability(pat, n) == tuple_p
+        assert mean_pattern_count(pat, n) == mean
+        assert pair_occurrence_probability(
+            pat, n, PairRelation.ALL_DISTINCT) == (
+            naive.closed_form_pair_probability(pat, n))
+        assert pair_occurrence_probability(
+            pat, n, PairRelation.SAME_ROOT_SAME_SET) == tuple_p
+        assert second_moment_pattern_count(pat, n) == second
+        assert variance_pattern_count(pat, n) == variance
+        assert chebyshev_zero_bound(pat, n) == bound
+        rep = moment_report(pat, n)
+        assert (rep.n, rep.p, rep.aut_root_order) == (
+            n, pat.p, pat.aut_root_order)
+        assert (rep.mean, rep.second_moment, rep.variance,
+                rep.chebyshev_zero_bound) == (mean, second, variance, bound)
+        assert rep.asymptotic_slope == asymptotic_slope(pat)
+
+    @pytest.mark.parametrize("name", REFERENCE_PATTERNS)
+    def test_mean_at_the_smallest_n(self, name):
+        pat = pattern_from_name(name)
+        n = pat.p + 2
+        assert mean_pattern_count(pat, n) == naive.closed_form_mean(pat, n)
+        assert (occurrence_probability(pat, n)
+                == naive.closed_form_tuple_probability(pat, n))
 
 
 class TestRationalStr:
