@@ -1,9 +1,9 @@
 """Canonical forms, isomorphism tests, and automorphism counts for rooted trees.
 
-Canonical codes follow the classic bottom-up scheme: a leaf is "()" and an
-internal vertex wraps the lexicographically sorted codes of its children.
-Two rooted trees are isomorphic exactly when their codes coincide, and the
-same traversal yields the order of the root-preserving automorphism group.
+After Aho, Hopcroft and Ullman, one pass from the leaves up gives every
+fringe subtree an integer ID, keyed by the sorted tuple of its children's
+IDs and numbered by height, then by that tuple.  The table of tuples is
+canonical, and the pass also yields the root-fixing automorphism order.
 """
 
 from __future__ import annotations
@@ -15,80 +15,83 @@ from .errors import FormatError, TooSmallError
 from .trees import RootedTree, Tree, _data_lines, _parse_header, build_tree, tree_center, tree_to_text
 
 
-def _code_and_aut(adjacency, root: int, blocked: int | None = None) -> tuple[str, int]:
-    # Iterative post-order so deep paths do not hit the recursion limit.
-    # blocked (if given) is a neighbor of root that the traversal must not
-    # cross; used to code one side of a cut edge.
-    parent: dict[int, int | None] = {root: blocked}
+@dataclass(frozen=True)
+class CanonicalForm:
+    """Canonical shape table: entry i is the sorted tuple of shape i's
+    children's IDs, and the root's shape is the last entry."""
+
+    table: tuple[tuple[int, ...], ...]
+
+    @property
+    def code(self) -> str:
+        """Parenthesis rendering, each shape's children in string order."""
+        out: list[str] = []
+        for kids in self.table:
+            out.append("(" + "".join(sorted(out[c] for c in kids)) + ")")
+        return out[-1]
+
+
+def _canonical(adjacency, root: int,
+               blocked: int | None = None) -> tuple[CanonicalForm, int]:
+    # Breadth-first, so deep paths do not recurse; up[i] is the position
+    # of order[i]'s parent.  blocked (if given) is a neighbor of root that
+    # is not crossed, to code one side of a cut edge.
     order = [root]
-    children: dict[int, list[int]] = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        kids = []
-        pv = parent[v]
+    up = [-1]
+    for i, v in enumerate(order):
+        pv = order[up[i]] if i else blocked
         for w in adjacency[v]:
             if w != pv:
-                parent[w] = v
-                kids.append(w)
-                stack.append(w)
-        if kids:
-            children[v] = kids
-            order.extend(kids)
-    code: dict[int, str] = {}
-    aut: dict[int, int] = {}
-    for v in reversed(order):
-        kids = children.get(v)
-        if not kids:
-            code[v] = "()"
-            aut[v] = 1
-            continue
-        ks = sorted(code[c] for c in kids)
-        a = 1
-        for c in kids:
-            a *= aut[c]
-        run = 1
-        for i in range(1, len(ks)):
-            if ks[i] == ks[i - 1]:
-                run += 1
-                a *= run
-            else:
-                run = 1
-        code[v] = "(" + "".join(ks) + ")"
-        aut[v] = a
-    return code[root], aut[root]
+                order.append(w)
+                up.append(i)
+    height = [0] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        height[up[i]] = max(height[up[i]], height[i] + 1)
+    levels: list[list[int]] = [[] for _ in range(height[0] + 1)]
+    for i, h in enumerate(height):
+        levels[h].append(i)
+    kids: list[list[int]] = [[] for _ in order]
+    table: list[tuple[int, ...]] = []
+    aut: list[int] = []
+    for level in levels:
+        keys = [tuple(sorted(kids[i])) for i in level]
+        ids: dict[tuple[int, ...], int] = {}
+        for key in sorted(set(keys)):
+            ids[key] = len(table)
+            table.append(key)
+            # Isomorphic siblings carry equal IDs and may be permuted.
+            a = run = 1
+            for j, c in enumerate(key):
+                run = run + 1 if j and key[j - 1] == c else 1
+                a *= aut[c] * run
+            aut.append(a)
+        for i, key in zip(level, keys):
+            if i:
+                kids[up[i]].append(ids[key])
+    return CanonicalForm(tuple(table)), aut[-1]
 
 
 def ahu_code(adjacency, root: int, blocked: int | None = None) -> str:
-    """Canonical code of the subtree reachable from root.
+    """Rendered canonical form of the subtree reachable from root.
 
     adjacency may be any mapping or sequence giving neighbor lists; with
     blocked set, the edge root-blocked is not crossed.
     """
-    return _code_and_aut(adjacency, root, blocked)[0]
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical code string of a rooted tree."""
-
-    code: str
+    return _canonical(adjacency, root, blocked)[0].code
 
 
 def canonical_form_rooted(rt: RootedTree) -> CanonicalForm:
-    return CanonicalForm(ahu_code(rt.tree.adjacency, rt.root))
+    return _canonical(rt.tree.adjacency, rt.root)[0]
 
 
 def rooted_isomorphic(a: RootedTree, b: RootedTree) -> bool:
     """True when a root-preserving isomorphism exists."""
-    if a.tree.n != b.tree.n:
-        return False
     return canonical_form_rooted(a) == canonical_form_rooted(b)
 
 
 def aut_rooted(rt: RootedTree) -> int:
     """Order of the automorphism group fixing the root."""
-    return _code_and_aut(rt.tree.adjacency, rt.root)[1]
+    return _canonical(rt.tree.adjacency, rt.root)[1]
 
 
 def aut_unrooted(t: Tree) -> int:
@@ -102,10 +105,10 @@ def aut_unrooted(t: Tree) -> int:
     c = tree_center(t)
     adj = t.adjacency
     if not c.is_edge:
-        return _code_and_aut(adj, c.vertex)[1]
+        return _canonical(adj, c.vertex)[1]
     u, w = c.vertices
-    cu, au = _code_and_aut(adj, u, blocked=w)
-    cw, aw = _code_and_aut(adj, w, blocked=u)
+    cu, au = _canonical(adj, u, blocked=w)
+    cw, aw = _canonical(adj, w, blocked=u)
     return au * aw * (2 if cu == cw else 1)
 
 
@@ -114,7 +117,7 @@ class RootedPattern:
     """A rooted tree shape used as an attachment pattern.
 
     p is the number of non-root vertices (at least 1); aut_root_order and
-    the canonical code are computed once at construction.
+    the canonical form are computed once at construction.
     """
 
     shape: RootedTree
@@ -127,8 +130,8 @@ class RootedPattern:
         p = rt.tree.n - 1
         if p < 1:
             raise TooSmallError("a pattern needs at least one non-root vertex")
-        code, aut = _code_and_aut(rt.tree.adjacency, rt.root)
-        return cls(rt, p, aut, CanonicalForm(code))
+        form, aut = _canonical(rt.tree.adjacency, rt.root)
+        return cls(rt, p, aut, form)
 
 
 def labelled_rooted_count(pat: RootedPattern) -> int:

@@ -162,8 +162,8 @@ class McEstimate:
 def _tally_job(args, lo: int, hi: int):
     # Same draws and same counting core as sample_tree + count_patterns,
     # minus the per-sample Tree object; the equivalence is under test.
-    n, seed, code = args
-    find = _occurrence_finder(n, [code])
+    n, seed, pat = args
+    find = _occurrence_finder(n, [pat])
     seqs = (stream_for(seed, k).randints(n - 2, n) for k in range(lo, hi))
     return _sweep(lambda order, parent: len(find(order, parent)), n, seqs)
 
@@ -180,8 +180,7 @@ def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
             f"host tree needs at least p + 1 = {pat.p + 1} vertices")
     if samples < 1:
         raise SampleCountError(f"samples must be positive, got {samples}")
-    hist = _fan_out(_tally_job, (n, seed, pat.canonical.code), 0, samples,
-                    workers)
+    hist = _fan_out(_tally_job, (n, seed, pat), 0, samples, workers)
     return McEstimate(n, samples, seed, samples - hist[0],
                       sum(c * k for c, k in hist.items()),
                       sum(c * c * k for c, k in hist.items()))

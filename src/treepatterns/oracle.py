@@ -17,7 +17,7 @@ from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError, TooSmallError
-from .isomorphism import RootedPattern, ahu_code, labelled_rooted_count
+from .isomorphism import RootedPattern, _canonical, labelled_rooted_count
 from .moments import (
     PairRelation,
     chebyshev_zero_bound,
@@ -56,6 +56,13 @@ def _check_verifiable(pat: RootedPattern, n: int) -> None:
 
 def _blocks(n: int) -> int:
     return n if n > 2 else 1
+
+
+def _sweep_all(job, args, n: int, workers: int) -> Counter:
+    # Up to n = 6 a sweep costs less than a pool: verify_moments for the
+    # edge at n = 3..6 took 0.007 s here, 0.028 s with two workers (best
+    # of 5, 2-core VM).  No pool is kept: peak RSS must count its workers.
+    return _fan_out(job, args, 0, _blocks(n), workers if n > 6 else 1)
 
 
 def _sequences(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -124,11 +131,11 @@ def _marginal(tally: Counter, i: int) -> dict[int, int]:
 
 
 def _counts_job(args, lo: int, hi: int) -> Counter:
-    n, codes = args
-    find = _occurrence_finder(n, codes)
+    n, pats = args
+    find = _occurrence_finder(n, pats)
 
     def outcome(order, parent):
-        counts = [0] * len(codes)
+        counts = [0] * len(pats)
         for i, _, _ in find(order, parent):
             counts[i] += 1
         return tuple(counts)
@@ -141,8 +148,7 @@ def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
                                 workers: int = 1) -> list[ExactDistribution]:
     """Exact count distributions for several patterns in one sweep."""
     _check_cap(n, cap)
-    codes = [pat.canonical.code for pat in pats]
-    tally = _fan_out(_counts_job, (n, codes), 0, _blocks(n), workers)
+    tally = _sweep_all(_counts_job, (n, pats), n, workers)
     total = n ** (n - 2)
     return [ExactDistribution(n, pat, _marginal(tally, i), total)
             for i, pat in enumerate(pats)]
@@ -175,10 +181,9 @@ def verify_labelled_count(pat: RootedPattern) -> LabelledCountReport:
     if m > 7:
         raise CapExceededError(f"pattern size {m} exceeds the rooted "
                                "enumeration cap 7")
-    code = pat.canonical.code
 
     def outcome(order, parent):
-        return ahu_code(_adjacency(m, order, parent), 1) == code
+        return _canonical(_adjacency(m, order, parent), 1)[0] == pat.canonical
 
     tally = _sweep(outcome, m, _sequences(m, 0, _blocks(m)))
     return LabelledCountReport(pat, tally[True], labelled_rooted_count(pat))
@@ -232,23 +237,23 @@ def _fixed_tuples(p: int) -> dict[str, tuple[int, frozenset[int]]]:
 
 def _moment_job(args, lo: int, hi: int) -> Counter:
     # Outcome key: the four fixed-tuple indicators, then the count.
-    n, p, code = args
-    tup = _fixed_tuples(p)
+    n, pat = args
+    tup = _fixed_tuples(pat.p)
     r1, o1 = tup["base"]
     rd, od = tup["disjoint"]
     rs, os_ = tup["overlap_same_root"]
     ro, oo = tup["overlap_diff_root"]
-    pair_ok = n >= 2 * (p + 1)
-    find = _occurrence_finder(n, [code])
+    pair_ok = n >= 2 * (pat.p + 1)
+    find = _occurrence_finder(n, [pat])
 
     def outcome(order, parent):
         c = len(find(order, parent))
         adj = _adjacency(n, order, parent)
-        if not _is_occurrence(adj, r1, o1, p, code):
+        if not _is_occurrence(adj, r1, o1, pat):
             return False, False, False, False, c
-        return (True, pair_ok and _is_occurrence(adj, rd, od, p, code),
-                _is_occurrence(adj, rs, os_, p, code),
-                _is_occurrence(adj, ro, oo, p, code), c)
+        return (True, pair_ok and _is_occurrence(adj, rd, od, pat),
+                _is_occurrence(adj, rs, os_, pat),
+                _is_occurrence(adj, ro, oo, pat), c)
 
     return _sweep(outcome, n, _sequences(n, lo, hi))
 
@@ -263,8 +268,7 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
     _check_cap(n, cap)
     _check_verifiable(pat, n)
     p = pat.p
-    tally = _fan_out(_moment_job, (n, p, pat.canonical.code), 0, _blocks(n),
-                     workers)
+    tally = _sweep_all(_moment_job, (n, pat), n, workers)
     g_base, g_disjoint, g_same, g_diff = (
         sum(c for key, c in tally.items() if key[i]) for i in range(4))
     total = n ** (n - 2)

@@ -8,15 +8,15 @@ splits off the occurrence as a whole component, rooted at the cut end.
 Counting therefore scans the two sides of every edge for components of
 the right size.
 
-Shapes are compared as integers, after Aho, Hopcroft and Ullman: a table
-built from the pattern's canonical code numbers each of its fringe
-subtrees, keyed by the multiset of its children's IDs.  The counting core
-reads the host rooted at vertex n, as a child-before-parent order and a
-parent array: the Pruefer decoder yields these directly and
-count_patterns gets them from a DFS.  It adds up subtree sizes and IDs
-along the order and codes the side of an edge that holds n by a walk of
-at most m vertices up to n.  is_pattern stays on the definition and the
-string codes.
+Shapes are compared as integers, after Aho, Hopcroft and Ullman: the
+patterns' canonical shape tables are merged into one table that numbers
+each of their fringe subtrees, keyed by the multiset of its children's
+IDs.  The counting core reads the host rooted at vertex n, as a
+child-before-parent order and a parent array: the Pruefer decoder yields
+these directly and count_patterns gets them from a DFS.  It adds up
+subtree sizes and IDs along the order and codes the side of an edge that
+holds n by a walk of at most m vertices up to n.  is_pattern stays on
+the definition and compares canonical forms.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DuplicateVerticesError, FormatError, IndexOutOfRangeError
-from .isomorphism import RootedPattern, ahu_code
+from .isomorphism import RootedPattern, _canonical
 from .trees import RootedTree, Tree, _decode, build_tree
 
 __all__ = [
@@ -78,14 +78,14 @@ def _check_occurrence(t: Tree, occ: PatternOccurrence) -> None:
             raise IndexOutOfRangeError(f"vertex {v} not in 1..{t.n}")
 
 
-def _is_occurrence(adj, root: int, others: frozenset[int], p: int,
-                   code: str) -> bool:
+def _is_occurrence(adj, root: int, others: frozenset[int],
+                   pat: RootedPattern) -> bool:
     # Induced-subgraph route, independent of the edge-cut counter.
-    if len(others) != p:
+    if len(others) != pat.p:
         return False
     verts = others | {root}
     induced = {v: [w for w in adj[v] if w in verts] for v in verts}
-    if sum(len(x) for x in induced.values()) != 2 * p:
+    if sum(len(x) for x in induced.values()) != 2 * pat.p:
         return False
     if len(adj[root]) != len(induced[root]) + 1:
         return False
@@ -100,9 +100,9 @@ def _is_occurrence(adj, root: int, others: frozenset[int], p: int,
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) != p + 1:
+    if len(seen) != pat.p + 1:
         return False
-    return ahu_code(induced, root) == code
+    return _canonical(induced, root)[0] == pat.canonical
 
 
 def is_pattern(t: Tree, occ: PatternOccurrence, pat: RootedPattern) -> bool:
@@ -113,41 +113,35 @@ def is_pattern(t: Tree, occ: PatternOccurrence, pat: RootedPattern) -> bool:
     neighbor, and the other vertices have none.
     """
     _check_occurrence(t, occ)
-    return _is_occurrence(t.adjacency, occ.root, occ.others, pat.p,
-                          pat.canonical.code)
+    return _is_occurrence(t.adjacency, occ.root, occ.others, pat)
 
 
-def _shape_table(codes, base: int):
-    """Intern every fringe subtree of the canonical codes.
+def _shape_table(pats, base: int):
+    """Intern every fringe subtree of the patterns' canonical forms.
 
     A shape's ID is its index in the table; the leaf is 0.  The key of a
     shape is the base-`base` number whose digit i counts the children
     with ID i, so a multiset of child IDs needs no sorting, and keys are
     exact while no vertex has `base` or more children.  Returns the table
-    (key to ID), the weight base**i of each ID i, and the ID of each
-    code.  The parse keeps an explicit stack, so deep codes are safe.
+    (key to ID), the weight base**i of each ID i, and each pattern's ID.
     """
     table = {0: 0}
     weight = [1]
     ids = []
-    for code in codes:
-        stack = [0]
-        for ch in code:
-            if ch == "(":
-                stack.append(0)
-            else:
-                key = stack.pop()
-                h = table.setdefault(key, len(table))
-                if h == len(weight):
-                    weight.append(base ** h)
-                stack[-1] += weight[h]
+    for pat in pats:
+        local: list[int] = []
+        for kids in pat.canonical.table:
+            h = table.setdefault(sum(weight[local[c]] for c in kids),
+                                 len(table))
+            if h == len(weight):
+                weight.append(base ** h)
+            local.append(h)
         ids.append(h)
     return table, weight, ids
 
 
-def _occurrence_finder(n: int, codes):
-    """Counting core for trees on n vertices and the patterns with the
-    given canonical codes.
+def _occurrence_finder(n: int, pats):
+    """Counting core for trees on n vertices and the given patterns.
 
     Returns find(order, parent): order lists every vertex but the root,
     each after all of its children, parent[v] is v's parent and
@@ -158,14 +152,14 @@ def _occurrence_finder(n: int, codes):
     # A shape missing from the table gets ID -1, so its weight is that of
     # the last ID.  Shapes are numbered after their children, so no shape
     # has the last one as a child: nothing above a missing shape matches.
-    table, weight, ids = _shape_table(codes, n + 1)
+    table, weight, ids = _shape_table(pats, n + 1)
     get = table.get
     # near[s]: (pattern index, ID) pairs of the patterns with s vertices;
     # far[s] the same for n - s, the size of the side across the edge.
     near: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
     top = 0
-    for i, (code, pid) in enumerate(zip(codes, ids)):
-        m = len(code) // 2  # one "(" and one ")" per vertex
+    for i, (pat, pid) in enumerate(zip(pats, ids)):
+        m = pat.p + 1
         if m <= n:
             near[m] += ((i, pid),)
             top = max(top, m)
@@ -278,7 +272,7 @@ def _fan_out(job, args, lo: int, hi: int, workers: int) -> Counter:
 
 def _pattern_cuts(t: Tree, pat: RootedPattern) -> list[tuple[int, int, int]]:
     order, parent = _rooted_order(t.adjacency, t.n)
-    return _occurrence_finder(t.n, [pat.canonical.code])(order, parent)
+    return _occurrence_finder(t.n, [pat])(order, parent)
 
 
 def count_patterns(t: Tree, pat: RootedPattern) -> int:

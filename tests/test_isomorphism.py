@@ -1,5 +1,7 @@
 """Canonical codes, isomorphism, automorphism counts, pattern shapes."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,8 @@ class TestAhuCode:
         for root in range(1, t.n + 1):
             assert (ahu_code(t.adjacency, root)
                     == ahu_code(mapped.adjacency, perm[root]))
+            assert (canonical_form_rooted(RootedTree(t, root))
+                    == canonical_form_rooted(RootedTree(mapped, perm[root])))
 
 
 class TestRootedIsomorphic:
@@ -100,9 +104,15 @@ class TestRootedIsomorphic:
         # every member must be brute-isomorphic to its class representative,
         # and representatives of different classes must not be
         classes = {}
+        forms = {}
         for t in naive.all_trees(5):
             for r in range(1, 6):
-                classes.setdefault(ahu_code(t.adjacency, r), []).append((t, r))
+                code = ahu_code(t.adjacency, r)
+                classes.setdefault(code, []).append((t, r))
+                form = canonical_form_rooted(RootedTree(t, r))
+                assert forms.setdefault(code, form) == form
+        # one form per code and one code per form
+        assert len(set(forms.values())) == len(forms)
         reps = {code: members[0] for code, members in classes.items()}
         for code, members in classes.items():
             t0, r0 = reps[code]
@@ -170,6 +180,28 @@ class TestAutUnrooted:
             seq = tuple(stream.randints(5, 7))
             t = prufer_decode(PruferSequence(7, seq))
             assert aut_unrooted(t) == naive.aut_unrooted_brute(t)
+
+
+class TestAutMemory:
+    @staticmethod
+    def peak_bytes(fn, t):
+        t.adjacency  # built outside the measurement
+        tracemalloc.start()
+        try:
+            fn(t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: aut_rooted(RootedTree(t, 1)),
+        aut_unrooted,
+    ], ids=["rooted", "unrooted"])
+    def test_grows_linearly_on_paths(self, fn):
+        # Four times the vertices may cost four times the memory, plus
+        # slack for allocator steps; a string per vertex costs sixteen.
+        assert (self.peak_bytes(fn, path(8000))
+                < 6 * self.peak_bytes(fn, path(2000)))
 
 
 class TestRootedPattern:

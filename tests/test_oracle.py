@@ -124,8 +124,7 @@ class TestExactDistribution:
         # verify_moments needs n >= p + 2 = 3, so its sweep is called
         # directly at n = 2.
         pat = rooted_edge()
-        tally = patterns._fan_out(_moment_job, (2, pat.p, pat.canonical.code),
-                                  0, _blocks(2), 3)
+        tally = patterns._fan_out(_moment_job, (2, pat), 0, _blocks(2), 3)
         assert sum(tally.values()) == 1
 
     def test_histogram_must_cover_every_tree(self):
@@ -153,8 +152,8 @@ class TestMixedSizeCounts:
     }
 
     def joint(self, n):
-        codes = [pattern_from_name(name).canonical.code for name in self.NAMES]
-        return _counts_job((n, codes), 0, _blocks(n))
+        pats = [pattern_from_name(name) for name in self.NAMES]
+        return _counts_job((n, pats), 0, _blocks(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_joint_histogram_matches_the_naive_count(self, n):
@@ -239,6 +238,26 @@ class TestVerifyMoments:
         serial = verify_moments(rooted_edge(), 6, workers=1)
         parallel = verify_moments(rooted_edge(), 6, workers=3)
         assert serial.checks == parallel.checks
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_small_sweeps_start_no_pool(self, monkeypatch, n):
+        # Up to n = 6 starting a pool costs more than the whole sweep.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep with n <= 6 started a process pool")
+
+        monkeypatch.setattr(patterns, "ProcessPoolExecutor", no_pool)
+        assert verify_moments(rooted_edge(), n, workers=2).all_passed
+
+    def test_pooled_sweeps_match_serial_from_seven(self):
+        # The first n whose sweeps may be split across processes; both
+        # oracle jobs send their patterns to the workers.
+        pats = [rooted_edge(), cherry()]
+        serial = exact_pattern_distributions(7, pats, workers=1)
+        parallel = exact_pattern_distributions(7, pats, workers=2)
+        assert ([d.histogram for d in serial]
+                == [d.histogram for d in parallel])
+        assert (verify_moments(cherry(), 7, workers=1).checks
+                == verify_moments(cherry(), 7, workers=2).checks)
 
     def test_failed_check_is_reported(self):
         check = FormulaCheck("x", Fraction(1), Fraction(2), "fail")

@@ -196,7 +196,7 @@ MIXED_NAMES = ["edge", "cherry", "star3", "path4@end"]
 def decoded_count(t, pat):
     """Count through the Pruefer decode order, as the samplers do."""
     order, parent = _decode(prufer_encode(t).seq, t.n)
-    return len(_occurrence_finder(t.n, [pat.canonical.code])(order, parent))
+    return len(_occurrence_finder(t.n, [pat])(order, parent))
 
 
 class TestCountingCore:
