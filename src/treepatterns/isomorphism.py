@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import FormatError, TooSmallError
-from .trees import RootedTree, Tree, _data_lines, _parse_header, build_tree, tree_center, tree_to_text
+from .trees import RootedTree, Tree, _data_lines, _parse_edges, _parse_header, _walk, build_tree, rootify, tree_to_text
 
 
 @dataclass(frozen=True)
@@ -24,33 +24,38 @@ class CanonicalForm:
 
     @property
     def code(self) -> str:
-        """Parenthesis rendering, each shape's children in string order."""
-        out: list[str] = []
+        """Parenthesis rendering, each shape's children in string order; a
+        string is freed after its last parent's, so memory stays linear."""
+        uses = [0] * len(self.table)
+        for kids in self.table:
+            for c in kids:
+                uses[c] += 1
+        out: list[str | None] = []
         for kids in self.table:
             out.append("(" + "".join(sorted(out[c] for c in kids)) + ")")
+            for c in kids:
+                uses[c] -= 1
+                if not uses[c]:
+                    out[c] = None
         return out[-1]
 
 
 def _canonical(adjacency, root: int,
-               blocked: int | None = None) -> tuple[CanonicalForm, int]:
-    # Breadth-first, so deep paths do not recurse; up[i] is the position
-    # of order[i]'s parent.  blocked (if given) is a neighbor of root that
-    # is not crossed, to code one side of a cut edge.
-    order = [root]
-    up = [-1]
-    for i, v in enumerate(order):
-        pv = order[up[i]] if i else blocked
-        for w in adjacency[v]:
-            if w != pv:
-                order.append(w)
-                up.append(i)
-    height = [0] * len(order)
-    for i in range(len(order) - 1, 0, -1):
-        height[up[i]] = max(height[up[i]], height[i] + 1)
+               blocked: int = 0) -> tuple[CanonicalForm, int]:
+    # up[i]: position of order[i]'s parent (root: unused).  Lists are
+    # dropped once used, to keep the peak memory of deep trees low.
+    order, parent = _walk(adjacency, root, blocked)
+    up = list(map(dict(zip(order, range(len(order)))).get, parent))
+    del order, parent
+    height = [0] * len(up)
+    for i, u in zip(range(len(up) - 1, 0, -1), reversed(up)):
+        if height[u] <= height[i]:
+            height[u] = height[i] + 1
     levels: list[list[int]] = [[] for _ in range(height[0] + 1)]
     for i, h in enumerate(height):
         levels[h].append(i)
-    kids: list[list[int]] = [[] for _ in order]
+    del height
+    kids: list[list[int]] = [[] for _ in up]
     table: list[tuple[int, ...]] = []
     aut: list[int] = []
     for level in levels:
@@ -95,21 +100,9 @@ def aut_rooted(rt: RootedTree) -> int:
 
 
 def aut_unrooted(t: Tree) -> int:
-    """Order of the full automorphism group of an unlabelled tree.
-
-    Every automorphism preserves the center.  A vertex center reduces to
-    the rooted count there; an edge center multiplies the rooted counts of
-    the two halves, doubled when the halves are isomorphic (the edge may
-    then be flipped).
-    """
-    c = tree_center(t)
-    adj = t.adjacency
-    if not c.is_edge:
-        return _canonical(adj, c.vertex)[1]
-    u, w = c.vertices
-    cu, au = _canonical(adj, u, blocked=w)
-    cw, aw = _canonical(adj, w, blocked=u)
-    return au * aw * (2 if cu == cw else 1)
+    """Order of the full automorphism group of an unlabelled tree; every
+    automorphism fixes the center, and rootify makes that the root."""
+    return aut_rooted(rootify(t))
 
 
 @dataclass(frozen=True)
@@ -154,15 +147,7 @@ def pattern_from_text(text: str) -> RootedPattern:
     if len(lines) != n + 1:
         raise FormatError(
             f"expected {n - 1} edge lines plus a root line for n={n}")
-    edges = []
-    for line in lines[1:-1]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected edge line 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(f"bad edge line {line!r}") from None
+    edges = _parse_edges(lines[1:-1])
     parts = lines[-1].split()
     if len(parts) != 2 or parts[0] != "root":
         raise FormatError(f"expected final line 'root <r>', got {lines[-1]!r}")

@@ -13,7 +13,7 @@ patterns' canonical shape tables are merged into one table that numbers
 each of their fringe subtrees, keyed by the multiset of its children's
 IDs.  The counting core reads the host rooted at vertex n, as a
 child-before-parent order and a parent array: the Pruefer decoder yields
-these directly and count_patterns gets them from a DFS.  It adds up
+these directly and count_patterns gets them from trees._walk.  It adds up
 subtree sizes and IDs along the order and codes the side of an edge that
 holds n by a walk of at most m vertices up to n.  is_pattern stays on
 the definition and compares canonical forms.
@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .errors import DuplicateVerticesError, FormatError, IndexOutOfRangeError
 from .isomorphism import RootedPattern, _canonical
-from .trees import RootedTree, Tree, _decode, build_tree
+from .trees import RootedTree, Tree, _decode, _walk, build_tree
 
 __all__ = [
     "PatternOccurrence",
@@ -80,7 +80,7 @@ def _check_occurrence(t: Tree, occ: PatternOccurrence) -> None:
 
 def _is_occurrence(adj, root: int, others: frozenset[int],
                    pat: RootedPattern) -> bool:
-    # Induced-subgraph route, independent of the edge-cut counter.
+    # Induced-subgraph route, independent of the edge-cut counter and _walk.
     if len(others) != pat.p:
         return False
     verts = others | {root}
@@ -220,24 +220,6 @@ def _adjacency(n: int, order, parent) -> list[list[int]]:
     return adj
 
 
-def _rooted_order(adj, n: int) -> tuple[list[int], list[int]]:
-    # Reversed preorder of a DFS from vertex n: children before parents.
-    parent = [0] * (n + 1)
-    order = []
-    stack = [n]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        pv = parent[v]
-        for w in adj[v]:
-            if w != pv:
-                parent[w] = v
-                stack.append(w)
-    order.reverse()
-    order.pop()
-    return order, parent
-
-
 def _sweep(outcome, n: int, seqs) -> Counter:
     """Decode each Pruefer sequence on n vertices once and tally
     outcome(order, parent) over the trees."""
@@ -271,8 +253,11 @@ def _fan_out(job, args, lo: int, hi: int, workers: int) -> Counter:
 
 
 def _pattern_cuts(t: Tree, pat: RootedPattern) -> list[tuple[int, int, int]]:
-    order, parent = _rooted_order(t.adjacency, t.n)
-    return _occurrence_finder(t.n, [pat])(order, parent)
+    order, up = _walk(t.adjacency, t.n)
+    parent = [0] * (t.n + 1)
+    for v, u in zip(order, up):
+        parent[v] = u
+    return _occurrence_finder(t.n, [pat])(order[:0:-1], parent)
 
 
 def count_patterns(t: Tree, pat: RootedPattern) -> int:
@@ -280,22 +265,9 @@ def count_patterns(t: Tree, pat: RootedPattern) -> int:
     return len(_pattern_cuts(t, pat))
 
 
-def _component(adj, root: int, blocked: int) -> list[int]:
-    out = [root]
-    stack = [(root, blocked)]
-    while stack:
-        v, pv = stack.pop()
-        for w in adj[v]:
-            if w != pv:
-                out.append(w)
-                stack.append((w, v))
-    return out
-
-
 def find_patterns(t: Tree, pat: RootedPattern) -> list[PatternOccurrence]:
     """All occurrences of pat in t, sorted by root then vertex set."""
-    adj = t.adjacency
-    hits = [PatternOccurrence(root, _component(adj, root, cut)[1:])
+    hits = [PatternOccurrence(root, _walk(t.adjacency, root, cut)[0][1:])
             for _, root, cut in _pattern_cuts(t, pat)]
     hits.sort(key=PatternOccurrence.sort_key)
     return hits

@@ -1,8 +1,9 @@
 """Labelled trees on vertices 1..n.
 
 Construction and validation, the Pruefer codec (smallest-labelled-leaf
-convention), centers by leaf peeling, rootification, and the plain-text
-file formats used by the command line tools.
+convention), the one walk every traversal of a valid tree uses, centers,
+rootification, and the plain-text file formats used by the command line
+tools.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> Tree:
             f"{len(norm)} edges for n={n}; a tree needs {n - 1}")
     t = Tree(n, frozenset(norm))
     adj = t.adjacency
+    # Not _walk: untrusted input may hold a cycle, so mark visited vertices.
     reached = 1
     visited = bytearray(n + 1)
     visited[1] = 1
@@ -187,6 +189,7 @@ def prufer_encode(t: Tree) -> PruferSequence:
     n = t.n
     if n < 2:
         raise TooSmallError("Pruefer encoding requires n >= 2")
+    # Not _walk: deletion goes by smallest label; a walk-based one was slower.
     adj = t.adjacency
     deg = [0] + [len(adj[v]) for v in range(1, n + 1)]
     removed = bytearray(n + 1)
@@ -231,30 +234,35 @@ class Center:
         return self.vertices[0]
 
 
+def _walk(adjacency, root: int,
+          blocked: int = 0) -> tuple[list[int], list[int]]:
+    """Vertices reachable from root without crossing the edge root-blocked,
+    in breadth-first order (reversed: children before parents), and each
+    one's parent, blocked for the root.  adjacency is any mapping or
+    sequence of neighbor lists of a forest: no visited set is kept.
+    """
+    order = [root]
+    parent = [blocked]
+    for v, pv in zip(order, parent):
+        for w in adjacency[v]:
+            if w != pv:
+                order.append(w)
+                parent.append(v)
+    return order, parent
+
+
 def tree_center(t: Tree) -> Center:
-    """Center by leaf peeling: strip all leaves per round until <= 2 remain."""
-    n = t.n
-    if n == 1:
-        return Center((1,))
+    """Middle of a longest path (Jordan, 1869).  A walk ends at one end of
+    such a path, and a walk from there ends at the other."""
     adj = t.adjacency
-    deg = [0] + [len(adj[v]) for v in range(1, n + 1)]
-    removed = bytearray(n + 1)
-    layer = [v for v in range(1, n + 1) if deg[v] <= 1]
-    alive = n
-    while alive > 2:
-        for v in layer:
-            removed[v] = 1
-        alive -= len(layer)
-        nxt: list[int] = []
-        for v in layer:
-            for w in adj[v]:
-                if not removed[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    survivors = tuple(v for v in range(1, n + 1) if not removed[v])
-    return Center(survivors)
+    far = _walk(adj, 1)[0][-1]
+    order, parent = _walk(adj, far)
+    up = dict(zip(order, parent))
+    path = [order[-1]]
+    while path[-1] != far:
+        path.append(up[path[-1]])
+    k = len(path)
+    return Center(tuple(sorted(path[(k - 1) // 2:k // 2 + 1])))
 
 
 def rootify(t: Tree) -> RootedTree:
@@ -269,12 +277,13 @@ def rootify(t: Tree) -> RootedTree:
         return RootedTree(t, c.vertex)
     u, w = c.vertices
     m = t.n + 1
-    cut = (u, w) if u < w else (w, u)
-    edges = set(t.edges)
-    edges.remove(cut)
-    edges.add((u, m))
-    edges.add((w, m))
-    return RootedTree(Tree(m, frozenset(edges)), m)
+    sub = Tree(m, t.edges - {(u, w)} | {(u, m), (w, m)})
+    # Seed sub's neighbor lists from t's: m sorts last, so none is resorted.
+    adj = list(t.adjacency)
+    adj[u] = tuple(x for x in adj[u] if x != w) + (m,)
+    adj[w] = tuple(x for x in adj[w] if x != u) + (m,)
+    sub.__dict__["adjacency"] = tuple(adj) + ((u, w),)
+    return RootedTree(sub, m)
 
 
 def _data_lines(text: str) -> list[str]:
@@ -297,6 +306,19 @@ def _parse_header(line: str) -> int:
         raise FormatError(f"bad vertex count {parts[1]!r}") from None
 
 
+def _parse_edges(lines: Iterable[str]) -> list[Edge]:
+    edges = []
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"expected edge line 'u v', got {line!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise FormatError(f"bad edge line {line!r}") from None
+    return edges
+
+
 def tree_from_text(text: str) -> Tree:
     """Parse the tree format: 'n <int>' then n - 1 lines 'u v'.
 
@@ -306,16 +328,7 @@ def tree_from_text(text: str) -> Tree:
     if not lines:
         raise FormatError("empty tree input")
     n = _parse_header(lines[0])
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected edge line 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(f"bad edge line {line!r}") from None
-    return build_tree(n, edges)
+    return build_tree(n, _parse_edges(lines[1:]))
 
 
 def tree_to_text(t: Tree) -> str:

@@ -196,7 +196,8 @@ class TestAutMemory:
     @pytest.mark.parametrize("fn", [
         lambda t: aut_rooted(RootedTree(t, 1)),
         aut_unrooted,
-    ], ids=["rooted", "unrooted"])
+        lambda t: ahu_code(t.adjacency, 1),
+    ], ids=["rooted", "unrooted", "code"])
     def test_grows_linearly_on_paths(self, fn):
         # Four times the vertices may cost four times the memory, plus
         # slack for allocator steps; a string per vertex costs sixteen.
@@ -274,6 +275,8 @@ class TestPatternText:
         "n 3\n1 2\nroot 1\n",          # missing an edge line
         "n 3\n1 2\n2 3\nroot x\n",
         "n 3\n1 2\n2 3\nanchor 1\n",
+        "n 3\n1 x\n2 3\nroot 1\n",       # edge line not two integers
+        "n 3\n1 2 3\n2 3\nroot 1\n",     # edge line with three fields
     ])
     def test_rejects_malformed_input(self, text):
         with pytest.raises(FormatError):

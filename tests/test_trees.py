@@ -14,7 +14,10 @@ from treepatterns import (
     Tree,
     VertexOutOfRangeError,
     WrongEdgeCountError,
+    aut_unrooted,
     build_tree,
+    find_patterns,
+    pattern_from_name,
     prufer_decode,
     prufer_encode,
     prufer_from_text,
@@ -197,6 +200,14 @@ class TestTreeCenter:
             u, w = c.vertices
             assert w in t.neighbors(u)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_center_is_the_min_eccentricity_set_on_every_tree(self, n):
+        for t in naive.all_trees(n):
+            ecc = naive.eccentricities(t)
+            best = min(ecc.values())
+            expect = tuple(sorted(v for v in ecc if ecc[v] == best))
+            assert tree_center(t).vertices == expect
+
     @given(naive.random_trees(min_n=2, max_n=8),
            st.randoms(use_true_random=False))
     def test_center_commutes_with_relabelling(self, t, rng):
@@ -235,6 +246,21 @@ class TestRootify:
         again = rootify(rt.tree)
         assert again.tree == rt.tree
         assert again.root == rt.root
+
+    @given(naive.random_trees(min_n=2, max_n=9))
+    def test_adjacency_matches_a_fresh_build(self, t):
+        # rootify seeds the subdivided tree's neighbor lists from t's
+        rt = rootify(t)
+        assert rt.tree.adjacency == Tree(rt.tree.n, rt.tree.edges).adjacency
+
+
+class TestDeepPath:
+    # Far deeper than Python's recursion limit: every walker must loop.
+    def test_walkers_do_not_recurse(self):
+        t = path(20000)
+        assert tree_center(t).vertices == (10000, 10001)
+        assert aut_unrooted(t) == 2
+        assert len(find_patterns(t, pattern_from_name("path4@end"))) == 2
 
 
 class TestTreeText:
