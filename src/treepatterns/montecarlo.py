@@ -5,13 +5,24 @@ own SplitMix64 stream keyed by (s, k), so results do not depend on how
 samples are split across workers, and a fixed seed reproduces the same
 tallies on any platform.  Uniform draws in 1..n use rejection, never a
 bare modulus.
+
+`RandomStream.randints` mixes a Pruefer sequence's draws together: it
+packs the SplitMix64 states, up to 4096 at a time, into 128-bit lanes of
+one Python int and runs the finalizer on the whole int, masking each
+lane back to 64 bits after every xor-shift and multiply so that no lane
+carries into its neighbour.  The values equal those of count successive
+`randint` calls; once a lane would be rejected, the rest of the draws
+replay exactly those calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainTooSmallError, SampleCountError, TooSmallError
 from .isomorphism import RootedPattern
@@ -21,14 +32,22 @@ from .trees import PruferSequence, Tree, prufer_decode
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# randints mixes at most this many lanes in one int, so its working
+# memory stays that of a 64 KB int whatever the count
+_BLOCK = 4096
 
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: a 64-bit bijective scramble."""
-    x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+    return _mix_lanes(x & _MASK, _MASK)
+
+
+def _mix_lanes(x: int, low: int) -> int:
+    # low masks each lane to its 64-bit value; the mask after each
+    # xor-shift clears the bits shifted in from the lane above
+    x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    x = ((x ^ (x >> 27)) & low) * 0x94D049BB133111EB & low
+    return (x ^ (x >> 31)) & low
 
 
 class RandomStream:
@@ -45,6 +64,7 @@ class RandomStream:
 
     def randint(self, n: int) -> int:
         """Uniform integer in 1..n via rejection sampling."""
+        _check_range(n)
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()
@@ -54,23 +74,45 @@ class RandomStream:
     def randints(self, count: int, n: int) -> list[int]:
         """count uniform integers in 1..n.
 
-        Consumes the stream exactly as count successive randint calls;
-        the generator arithmetic is inlined because this sits on the hot
-        path of the samplers.
+        Equals count successive randint calls, in values and in the state
+        left behind.  The draws go in blocks of up to _BLOCK lanes of one
+        big int: lane i holds the state after i + 1 increments, the
+        finalizer runs on all lanes together, and lane i is rejected iff
+        adding 2**64 % n carries it past 64 bits.  A rejection happens
+        with odds below count * n / 2**64; then the rest of the draws
+        replay the randint loop from the block's starting state.
         """
-        limit = (1 << 64) - ((1 << 64) % n)
-        state = self._state
+        _check_range(n)
         out = []
-        append = out.append
-        while len(out) < count:
-            state = (state + _GOLDEN) & _MASK
-            x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-            x ^= x >> 31
-            if x < limit:
-                append(1 + x % n)
-        self._state = state
+        for done in range(0, count, _BLOCK):
+            k = min(_BLOCK, count - done)
+            ones, ramp, low = _lanes(k)
+            x = _mix_lanes((self._state * ones + ramp) & low, low)
+            if (x + (1 << 64) % n * ones) & ~low:
+                return out + [self.randint(n) for _ in range(count - done)]
+            self._state = (self._state + k * _GOLDEN) & _MASK
+            words = array("Q", x.to_bytes(16 * k, "little"))[::2]
+            if sys.byteorder == "big":
+                words.byteswap()
+            out += [1 + w % n for w in words]
         return out
+
+
+def _check_range(n: int) -> None:
+    if not 1 <= n <= 1 << 64:
+        raise ValueError(f"n must be in 1..2**64, got {n}")
+
+
+@lru_cache(maxsize=4)
+def _lanes(count: int) -> tuple[int, int, int]:
+    """Constants for count 128-bit lanes: 1 in each lane, the lane-i
+    state offset (i + 1) * gamma mod 2**64, and a 64-bit mask per lane."""
+    pad = bytes(8)
+    ramp = b"".join(((i + 1) * _GOLDEN & _MASK).to_bytes(8, "little") + pad
+                    for i in range(count))
+    return (int.from_bytes((b"\x01" + bytes(15)) * count, "little"),
+            int.from_bytes(ramp, "little"),
+            int.from_bytes((b"\xff" * 8 + pad) * count, "little"))
 
 
 def stream_for(seed: int, index: int) -> RandomStream:

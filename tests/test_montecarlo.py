@@ -50,12 +50,39 @@ class TestRandomStream:
         assert len(set(draws)) == 7
 
     def test_randints_equals_repeated_randint(self):
-        for n in (3, 7, 64, 200):
-            a = RandomStream(2024)
-            b = RandomStream(2024)
-            assert a.randints(50, n) == [b.randint(n) for _ in range(50)]
+        # 2**63 + 1 rejects about half of all draws and 3 * 2**62 + 1
+        # about a quarter, so the larger counts take the replay branch.
+        # 2**64 - 2**50 rejects one draw in 16384; from state 5 the first
+        # rejected draw is the 5576th, in the second block of lanes.
+        cases = [(2024, n, count)
+                 for n in (3, 7, 64, 200, 2**63 + 1, 3 * 2**62 + 1)
+                 for count in (0, 1, 2, 50, 1998)]
+        blocks = 3 * montecarlo._BLOCK + 5
+        cases += [(2024, 200, blocks), (5, 2**64 - 2**50, blocks)]
+        for state, n, count in cases:
+            a = RandomStream(state)
+            b = RandomStream(state)
+            assert a.randints(count, n) == [b.randint(n) for _ in range(count)]
             # the bulk path must consume the stream identically
             assert a.next_u64() == b.next_u64()
+
+    def test_range_ends_are_accepted(self):
+        assert RandomStream(8).randint(1) == 1
+        assert RandomStream(8).randints(3, 1) == [1, 1, 1]
+        # n = 2**64 rejects nothing: each draw is the next output plus one
+        ref = RandomStream(8)
+        expected = [1 + ref.next_u64() for _ in range(3)]
+        assert RandomStream(8).randint(2**64) == expected[0]
+        assert RandomStream(8).randints(3, 2**64) == expected
+
+    def test_out_of_range_n_raises_before_drawing(self):
+        s = RandomStream(8)
+        for n in (0, -3, 2**64 + 1):
+            with pytest.raises(ValueError, match=r"1\.\.2\*\*64"):
+                s.randint(n)
+            with pytest.raises(ValueError, match=r"1\.\.2\*\*64"):
+                s.randints(3, n)
+        assert s.next_u64() == RandomStream(8).next_u64()
 
     def test_streams_are_reproducible(self):
         assert (RandomStream(5).randints(20, 9)
@@ -149,8 +176,15 @@ class TestMcEstimate:
 
 class TestEstimatePatternStats:
     def test_frozen_regression(self):
-        e = estimate_pattern_stats(cherry(), 30, 2000, seed=123)
-        assert (e.hits_ge1, e.sum_count, e.sum_count_sq) == (1215, 1732, 2988)
+        # the last three are the sizes of the mc benchmark workloads
+        path4 = pattern_from_name("path4@end")
+        for pat, n, samples, seed, workers, tallies in (
+                (cherry(), 30, 2000, 123, 1, (1215, 1732, 2988)),
+                (cherry(), 200, 500, 20261018, 1, (498, 2566, 15258)),
+                (path4, 2000, 40, 4242, 1, (40, 1473, 55261)),
+                (path4, 2000, 40, 4242, 2, (40, 1473, 55261))):
+            e = estimate_pattern_stats(pat, n, samples, seed, workers)
+            assert (e.hits_ge1, e.sum_count, e.sum_count_sq) == tallies
 
     def test_matches_the_public_sampling_path(self):
         # the tally loop skips Tree construction; it must agree with
