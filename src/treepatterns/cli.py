@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input (file, format, or
-out-of-domain request), 3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 invalid input (file, format,
+out-of-domain or out-of-memory request), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -374,8 +374,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TreePatternError, OSError) as exc:
-        print(f"treepatterns: {exc}", file=sys.stderr)
+    except (TreePatternError, OSError, MemoryError) as exc:
+        print(f"treepatterns: {str(exc) or 'out of memory'}", file=sys.stderr)
         return INPUT_ERROR
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ from functools import lru_cache
 from .errors import DomainTooSmallError, SampleCountError, TooSmallError
 from .isomorphism import RootedPattern
 from .moments import _moments, _zero_bound, mean_pattern_count, rational_str
-from .patterns import _fan_out, _occurrence_finder, _sweep
+from .patterns import _fan_out, _occurrence_finder
 from .trees import PruferSequence, Tree, prufer_decode
 
 _MASK = (1 << 64) - 1
@@ -205,9 +206,9 @@ def _tally_job(args, lo: int, hi: int):
     # Same draws and same counting core as sample_tree + count_patterns,
     # minus the per-sample Tree object; the equivalence is under test.
     n, seed, pat = args
-    find = _occurrence_finder(n, [pat])
-    seqs = (stream_for(seed, k).randints(n - 2, n) for k in range(lo, hi))
-    return _sweep(lambda order, parent: len(find(order, parent)), n, seqs)
+    kernel = _occurrence_finder(n, [pat])[0]
+    return Counter(len(kernel(stream_for(seed, k).randints(n - 2, n))[0])
+                   for k in range(lo, hi))
 
 
 def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,

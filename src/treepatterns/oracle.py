@@ -4,7 +4,9 @@ Every labelled tree on n vertices is visited exactly once by decoding all
 n**(n-2) Pruefer sequences.  On top of that sweep sit the exact occurrence
 count distribution, a check of the labelled rooted count p!/aut against
 direct enumeration, and per-formula comparisons of the exact moments with
-exhaustive averages.  Enumeration refuses to run past a small cap: the
+exhaustive averages.  Each sequence goes through the counting kernel,
+which decodes and counts in one pass, and the fixed tuples are checked on
+the decoded edges.  Enumeration refuses to run past a small cap: the
 tree count explodes, and the cap keeps mistakes cheap.
 """
 
@@ -26,13 +28,7 @@ from .moments import (
     pair_occurrence_probability,
     second_moment_pattern_count,
 )
-from .patterns import (
-    _adjacency,
-    _fan_out,
-    _is_occurrence,
-    _occurrence_finder,
-    _sweep,
-)
+from .patterns import _fan_out, _is_occurrence, _occurrence_finder
 from .trees import Tree, _decode, _tree_from_order
 
 DEFAULT_CAP = 9
@@ -132,15 +128,15 @@ def _marginal(tally: Counter, i: int) -> dict[int, int]:
 
 def _counts_job(args, lo: int, hi: int) -> Counter:
     n, pats = args
-    find = _occurrence_finder(n, pats)
+    kernel = _occurrence_finder(n, pats)[0]
 
-    def outcome(order, parent):
+    def outcome(seq):
         counts = [0] * len(pats)
-        for i, _, _ in find(order, parent):
+        for i, _, _ in kernel(seq)[0]:
             counts[i] += 1
         return tuple(counts)
 
-    return _sweep(outcome, n, _sequences(n, lo, hi))
+    return Counter(map(outcome, _sequences(n, lo, hi)))
 
 
 def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
@@ -182,11 +178,9 @@ def verify_labelled_count(pat: RootedPattern) -> LabelledCountReport:
         raise CapExceededError(f"pattern size {m} exceeds the rooted "
                                "enumeration cap 7")
 
-    def outcome(order, parent):
-        return _canonical(_adjacency(m, order, parent), 1)[0] == pat.canonical
-
-    tally = _sweep(outcome, m, _sequences(m, 0, _blocks(m)))
-    return LabelledCountReport(pat, tally[True], labelled_rooted_count(pat))
+    found = sum(_canonical(t.adjacency, 1)[0] == pat.canonical
+                for t in iter_trees(m))
+    return LabelledCountReport(pat, found, labelled_rooted_count(pat))
 
 
 _OK = "ok"
@@ -243,19 +237,21 @@ def _moment_job(args, lo: int, hi: int) -> Counter:
     rd, od = tup["disjoint"]
     rs, os_ = tup["overlap_same_root"]
     ro, oo = tup["overlap_diff_root"]
-    pair_ok = n >= 2 * (pat.p + 1)
-    find = _occurrence_finder(n, [pat])
+    kernel = _occurrence_finder(n, [pat])[0]
+    # The pairs (v, parent[v]) for v < n: the edges, and (0, 0).  Below
+    # n = 2(p + 1) the disjoint tuple holds a label above n, so it has
+    # fewer than p inner edges and is never an occurrence.
+    child = range(n)
 
-    def outcome(order, parent):
-        c = len(find(order, parent))
-        adj = _adjacency(n, order, parent)
-        if not _is_occurrence(adj, r1, o1, pat):
-            return False, False, False, False, c
-        return (True, pair_ok and _is_occurrence(adj, rd, od, pat),
-                _is_occurrence(adj, rs, os_, pat),
-                _is_occurrence(adj, ro, oo, pat), c)
+    def outcome(seq):
+        hits, parent = kernel(seq)
+        if not _is_occurrence(zip(child, parent), r1, o1, pat):
+            return False, False, False, False, len(hits)
+        return (True, _is_occurrence(zip(child, parent), rd, od, pat),
+                _is_occurrence(zip(child, parent), rs, os_, pat),
+                _is_occurrence(zip(child, parent), ro, oo, pat), len(hits))
 
-    return _sweep(outcome, n, _sequences(n, lo, hi))
+    return Counter(map(outcome, _sequences(n, lo, hi)))
 
 
 def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,

@@ -11,12 +11,13 @@ the right size.
 Shapes are compared as integers, after Aho, Hopcroft and Ullman: the
 patterns' canonical shape tables are merged into one table that numbers
 each of their fringe subtrees, keyed by the multiset of its children's
-IDs.  The counting core reads the host rooted at vertex n, as a
-child-before-parent order and a parent array: the Pruefer decoder yields
-these directly and count_patterns gets them from trees._walk.  It adds up
-subtree sizes and IDs along the order and codes the side of an edge that
-holds n by a walk of at most m vertices up to n.  is_pattern stays on
-the definition and compares canonical forms.
+IDs.  The counting core reads the host rooted at vertex n and adds up
+subtree sizes and IDs child before parent.  Its kernel does so inside the
+Pruefer decode loop, as each leaf is removed, so a sampled or enumerated
+tree costs one pass; count_patterns walks a Tree with trees._walk.  The
+side of an edge that holds n is coded by a walk of at most m vertices up
+to n.  is_pattern stays on the definition: it reads the host's edges and
+compares canonical forms.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .errors import DuplicateVerticesError, FormatError, IndexOutOfRangeError
 from .isomorphism import RootedPattern, _canonical
-from .trees import RootedTree, Tree, _decode, _walk, build_tree
+from .trees import RootedTree, Tree, _walk, build_tree
 
 __all__ = [
     "PatternOccurrence",
@@ -78,31 +80,31 @@ def _check_occurrence(t: Tree, occ: PatternOccurrence) -> None:
             raise IndexOutOfRangeError(f"vertex {v} not in 1..{t.n}")
 
 
-def _is_occurrence(adj, root: int, others: frozenset[int],
+def _is_occurrence(edges, root: int, others: frozenset[int],
                    pat: RootedPattern) -> bool:
-    # Induced-subgraph route, independent of the edge-cut counter and _walk.
+    # Reads the host's edges, never the counter's sizes and IDs.  In a
+    # forest, p inner edges on the p + 1 tuple vertices make it connected.
     if len(others) != pat.p:
         return False
     verts = others | {root}
-    induced = {v: [w for w in adj[v] if w in verts] for v in verts}
-    if sum(len(x) for x in induced.values()) != 2 * pat.p:
-        return False
-    if len(adj[root]) != len(induced[root]) + 1:
-        return False
-    for w in others:
-        if len(adj[w]) != len(induced[w]):
+    inner = []
+    exits = 0
+    for u, v in edges:
+        a = u in verts
+        if a == (v in verts):
+            if a:
+                inner.append((u, v))
+        elif (u if a else v) != root or exits:
             return False
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in induced[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != pat.p + 1:
+        else:
+            exits = 1
+    if len(inner) != pat.p or not exits:
         return False
-    return _canonical(induced, root)[0] == pat.canonical
+    adj: dict[int, list[int]] = {v: [] for v in verts}
+    for u, v in inner:
+        adj[u].append(v)
+        adj[v].append(u)
+    return _canonical(adj, root)[0] == pat.canonical
 
 
 def is_pattern(t: Tree, occ: PatternOccurrence, pat: RootedPattern) -> bool:
@@ -113,7 +115,7 @@ def is_pattern(t: Tree, occ: PatternOccurrence, pat: RootedPattern) -> bool:
     neighbor, and the other vertices have none.
     """
     _check_occurrence(t, occ)
-    return _is_occurrence(t.adjacency, occ.root, occ.others, pat)
+    return _is_occurrence(t.edges, occ.root, occ.others, pat)
 
 
 def _shape_table(pats, base: int):
@@ -141,55 +143,37 @@ def _shape_table(pats, base: int):
 
 
 def _occurrence_finder(n: int, pats):
-    """Counting core for trees on n vertices and the given patterns.
+    """Counting core for trees on n vertices, rooted at n.
 
-    Returns find(order, parent): order lists every vertex but the root,
-    each after all of its children, parent[v] is v's parent and
-    parent[root] = 0.  find returns a (pattern index, occurrence root,
-    cut neighbour) triple per occurrence.  IDs are computed only for
-    subtrees no larger than the largest pattern.
+    Returns kernel(seq), which decodes a Pruefer sequence as trees._decode
+    does and counts in the same loop, and find(order, parent) for a tree
+    given as every vertex but n, children first, and its parent array.
+    Both find a (pattern index, occurrence root, cut neighbour) triple per
+    occurrence; kernel returns the parent array too.  IDs are computed only
+    for subtrees of at most top vertices, the largest pattern size.
     """
     # A shape missing from the table gets ID -1, so its weight is that of
     # the last ID.  Shapes are numbered after their children, so no shape
     # has the last one as a child: nothing above a missing shape matches.
     table, weight, ids = _shape_table(pats, n + 1)
     get = table.get
-    # near[s]: (pattern index, ID) pairs of the patterns with s vertices;
-    # far[s] the same for n - s, the size of the side across the edge.
-    near: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
-    top = 0
+    top = max([pat.p + 1 for pat in pats if pat.p < n] or [0])
+    low = n - top
+    # near[s]: (pattern index, ID) pairs of the patterns with s vertices.
+    near: list[tuple[tuple[int, int], ...]] = [()] * (top + 1)
     for i, (pat, pid) in enumerate(zip(pats, ids)):
-        m = pat.p + 1
-        if m <= n:
-            near[m] += ((i, pid),)
-            top = max(top, m)
-    far = [near[n - s] for s in range(n + 1)]
+        if pat.p < n:
+            near[pat.p + 1] += ((i, pid),)
 
-    def find(order, parent) -> list[tuple[int, int, int]]:
-        size = [1] * (n + 1)
-        key = [0] * (n + 1)
-        hits = []
-        cuts = []
-        for v in order:
-            s = size[v]
-            pv = parent[v]
-            size[pv] += s
-            if s <= top:
-                h = get(key[v], -1)
-                key[pv] += weight[h]
-                group = near[s]
-                if group:
-                    for i, pid in group:
-                        if h == pid:
-                            hits.append((i, v, pv))
-            if far[s]:
-                cuts.append(v)
+    def root_side(hits, cuts, parent, size, key) -> None:
+        # The root's side of v's edge, rooted at v's parent, is coded down
+        # the path from the root: each path vertex keeps its key but the
+        # path child's weight, and gains the weight of the part above it.
+        # The side has at most top vertices, so the path does too.
         for v in cuts:
-            # The occurrence is the root's side, rooted at v's parent.
-            # Code it down the path from the root: each path vertex keeps
-            # its key but the path child's weight, and gains the weight of
-            # the part above it.  The path lies inside the occurrence, so
-            # it has at most m vertices.
+            group = near[n - size[v]]
+            if not group:
+                continue
             path = [v]
             u = parent[v]
             while u:
@@ -203,30 +187,68 @@ def _occurrence_finder(n: int, pats):
                     k -= weight[get(key[below], -1)]
                 h = get(k, -1)
                 above = weight[h]
-            for i, pid in far[size[v]]:
+            for i, pid in group:
                 if h == pid:
                     hits.append((i, path[1], v))
+
+    def kernel(seq) -> tuple[list[tuple[int, int, int]], list[int]]:
+        # A leaf's subtree is complete when the leaf is removed.  deg[n + 1]
+        # = 1 ends the leaf scan after the last edge, from the last leaf to n.
+        deg = [1] * (n + 2)
+        for s in seq:
+            deg[s] += 1
+        parent = [0] * (n + 1)
+        size = [1] * (n + 1)
+        key = [0] * (n + 1)
+        hits: list[tuple[int, int, int]] = []
+        cuts = []
+        v = ptr = deg.index(1, 1)
+        for pv in chain(seq, (n,)):
+            parent[v] = pv
+            s = size[v]
+            size[pv] += s
+            if s <= top:
+                h = get(key[v], -1)
+                key[pv] += weight[h]
+                for i, pid in near[s]:
+                    if h == pid:
+                        hits.append((i, v, pv))
+            if s >= low:
+                cuts.append(v)
+            deg[pv] -= 1
+            if deg[pv] == 1 and pv < ptr:
+                v = pv
+            else:
+                ptr += 1
+                while deg[ptr] != 1:
+                    ptr += 1
+                v = ptr
+        if cuts:
+            root_side(hits, cuts, parent, size, key)
+        return hits, parent
+
+    def find(order, parent) -> list[tuple[int, int, int]]:
+        size = [1] * (n + 1)
+        key = [0] * (n + 1)
+        hits: list[tuple[int, int, int]] = []
+        cuts = []
+        for v in order:
+            s = size[v]
+            pv = parent[v]
+            size[pv] += s
+            if s <= top:
+                h = get(key[v], -1)
+                key[pv] += weight[h]
+                for i, pid in near[s]:
+                    if h == pid:
+                        hits.append((i, v, pv))
+            if s >= low:
+                cuts.append(v)
+        if cuts:
+            root_side(hits, cuts, parent, size, key)
         return hits
 
-    return find
-
-
-def _adjacency(n: int, order, parent) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for v in order:
-        w = parent[v]
-        adj[v].append(w)
-        adj[w].append(v)
-    return adj
-
-
-def _sweep(outcome, n: int, seqs) -> Counter:
-    """Decode each Pruefer sequence on n vertices once and tally
-    outcome(order, parent) over the trees."""
-    tally: Counter = Counter()
-    for seq in seqs:
-        tally[outcome(*_decode(seq, n))] += 1
-    return tally
+    return kernel, find
 
 
 def _worker_count(workers: int, parts: int) -> int:
@@ -257,7 +279,7 @@ def _pattern_cuts(t: Tree, pat: RootedPattern) -> list[tuple[int, int, int]]:
     parent = [0] * (t.n + 1)
     for v, u in zip(order, up):
         parent[v] = u
-    return _occurrence_finder(t.n, [pat])(order[:0:-1], parent)
+    return _occurrence_finder(t.n, [pat])[1](order[:0:-1], parent)
 
 
 def count_patterns(t: Tree, pat: RootedPattern) -> int:

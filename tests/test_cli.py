@@ -293,6 +293,20 @@ class TestInputErrors:
         assert_one_line_input_error(rc, captured)
         assert "samples must be positive" in captured.err
 
+    def test_out_of_memory_exits_two_without_a_traceback(self, capsys,
+                                                         monkeypatch):
+        # A huge --n can exhaust memory in any command; stand in for it.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "estimate_pattern_stats", exhausted)
+        rc = cli.main(["mc", "--pattern", "edge", "--n", "100000000",
+                       "--samples", "1", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == "treepatterns: out of memory\n"
+        assert "Traceback" not in captured.err
+
 
 class TestUsageErrors:
     def test_missing_required_argument(self):

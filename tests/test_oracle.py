@@ -29,6 +29,7 @@ from treepatterns.oracle import (
     FormulaCheck,
     _blocks,
     _counts_job,
+    _fixed_tuples,
     _moment_job,
 )
 
@@ -172,6 +173,52 @@ class TestMixedSizeCounts:
             for key, c in self.JOINT_7.items():
                 want[key[i]] += c
             assert dist.histogram == dict(want)
+
+
+class TestMomentSweep:
+    # _moment_job keys each tree by the four fixed-tuple indicators (base,
+    # disjoint, overlap with the same root, overlap with another root),
+    # then the count.
+
+    # The tallies at n = 7, frozen from the adjacency-list check.
+    MOMENT_7 = {
+        "cherry": {
+            (False, False, False, False, 0): 10717,
+            (False, False, False, False, 1): 5408,
+            (False, False, False, False, 2): 618,
+            (True, False, False, False, 1): 52,
+            (True, False, False, False, 2): 11,
+            (True, True, False, False, 2): 1,
+        },
+        "star3": {
+            (False, False, False, False, 0): 15547,
+            (False, False, False, False, 1): 1251,
+            (True, False, False, False, 1): 9,
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(MOMENT_7))
+    def test_tallies_at_seven(self, name):
+        pat = pattern_from_name(name)
+        assert _moment_job((7, pat), 0, _blocks(7)) == self.MOMENT_7[name]
+
+    # Every n from p + 2, the first that verify_moments sweeps, up to 6.
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name, p in [("edge", 1), ("path3@end", 2),
+                                  ("cherry", 2), ("star3", 3)]
+        for n in range(p + 2, 7)])
+    def test_indicators_match_the_naive_check(self, name, n):
+        pat = pattern_from_name(name)
+        tuples = _fixed_tuples(pat.p).values()
+        want = Counter()
+        for t in naive.all_trees(n):
+            found = [all(v <= n for v in (root, *others))
+                     and naive.naive_is_occurrence(t, root, others, pat)
+                     for root, others in tuples]
+            if not found[0]:
+                found = [False] * 4
+            want[(*found, naive.naive_count(t, pat))] += 1
+        assert _moment_job((n, pat), 0, _blocks(n)) == want
 
 
 class TestVerifyLabelledCount:

@@ -2,6 +2,8 @@
 the worker clamp of the shared sweep."""
 
 import os
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -194,9 +196,8 @@ MIXED_NAMES = ["edge", "cherry", "star3", "path4@end"]
 
 
 def decoded_count(t, pat):
-    """Count through the Pruefer decode order, as the samplers do."""
-    order, parent = _decode(prufer_encode(t).seq, t.n)
-    return len(_occurrence_finder(t.n, [pat])(order, parent))
+    """Count through the fused decode kernel, as the samplers do."""
+    return len(_occurrence_finder(t.n, [pat])[0](prufer_encode(t).seq)[0])
 
 
 class TestCountingCore:
@@ -250,6 +251,33 @@ class TestCountingCore:
         got = [(o.root, min(o.others), max(o.others))
                for o in find_patterns(host, pat)]
         assert got == [(2, 3, 1501), (1500, 1, 1499)]
+
+
+class TestKernel:
+    # The kernel decodes and counts in one loop; it must agree with the
+    # decoder followed by the order-based count, hit for hit.
+
+    @pytest.mark.parametrize("pats", [
+        SMALL_PATTERNS, [pattern_from_name(name) for name in MIXED_NAMES],
+    ], ids=["small", "mixed"])
+    def test_matches_decode_then_find_exhaustively(self, pats):
+        for n in range(2, 9):
+            kernel, find = _occurrence_finder(n, pats)
+            for seq in product(range(1, n + 1), repeat=n - 2):
+                order, parent = _decode(seq, n)
+                hits, got_parent = kernel(seq)
+                assert got_parent == parent
+                assert sorted(hits) == sorted(find(order, parent))
+
+    def test_building_it_takes_memory_of_the_pattern_size(self):
+        # Nothing is allocated per host vertex until a tree is counted.
+        tracemalloc.start()
+        try:
+            _occurrence_finder(10 ** 6, [cherry()])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBuiltinNames:
