@@ -50,7 +50,8 @@ class SampleCountError(TreePatternError, ValueError):
 
 
 class CapExceededError(TreePatternError):
-    """Exhaustive enumeration was requested beyond the configured cap."""
+    """A request exceeds a size limit: the exhaustive enumeration cap, or
+    the digit ceiling of the exact moment formulas."""
 
 
 class FormatError(TreePatternError):

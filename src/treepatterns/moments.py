@@ -22,8 +22,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainTooSmallError, ZeroMeanError
+from .errors import CapExceededError, DomainTooSmallError, ZeroMeanError
 from .isomorphism import RootedPattern, labelled_rooted_count
+
+# The most digits n**(n - 2) may have, reached near n = 10**5, where a
+# cherry report took 80 s.  Past it the exact path refuses at once
+# instead of running for hours.
+MAX_DIGITS = 500_000
 
 
 class PairRelation(Enum):
@@ -44,6 +49,10 @@ def _joint_probability(pat: RootedPattern, n: int, j: int,
                        what: str) -> Fraction:
     # n >= j*p + 2 keeps k + j - 2 >= 0; `what` names the caller's formula.
     _require(n, j * pat.p + 2, what)
+    if (n - 2) * math.log10(n) > MAX_DIGITS:
+        raise CapExceededError(
+            f"n = {n} exceeds the exact-path ceiling: n**(n - 2) would "
+            f"have more than {MAX_DIGITS} digits")
     k = n - j * (pat.p + 1)
     return Fraction(labelled_rooted_count(pat) ** j * k ** (k + j - 2),
                     n ** (n - 2))
@@ -67,8 +76,9 @@ def occurrence_probability(pat: RootedPattern, n: int, *,
 
 def mean_pattern_count(pat: RootedPattern, n: int) -> Fraction:
     """Expected number of occurrences in a uniform tree on n vertices."""
-    return (_tuple_count(pat, n, 1)
-            * _joint_probability(pat, n, 1, "mean pattern count"))
+    # The probability checks the domain before math.perm sees n.
+    return (_joint_probability(pat, n, 1, "mean pattern count")
+            * _tuple_count(pat, n, 1))
 
 
 def pair_occurrence_probability(pat: RootedPattern, n: int,

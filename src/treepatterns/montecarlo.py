@@ -223,7 +223,7 @@ def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
             f"host tree needs at least p + 1 = {pat.p + 1} vertices")
     if samples < 1:
         raise SampleCountError(f"samples must be positive, got {samples}")
-    hist = _fan_out(_tally_job, (n, seed, pat), 0, samples, workers)
+    hist = _fan_out(_tally_job, (n, seed, pat), samples, workers)
     return McEstimate(n, samples, seed, samples - hist[0],
                       sum(c * k for c, k in hist.items()),
                       sum(c * c * k for c, k in hist.items()))

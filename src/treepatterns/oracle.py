@@ -6,8 +6,11 @@ count distribution, a check of the labelled rooted count p!/aut against
 direct enumeration, and per-formula comparisons of the exact moments with
 exhaustive averages.  Each sequence goes through the counting kernel,
 which decodes and counts in one pass, and the fixed tuples are checked on
-the decoded edges.  Enumeration refuses to run past a small cap: the
-tree count explodes, and the cap keeps mistakes cheap.
+the decoded edges.  The sequences are numbered in lexicographic order,
+and a sweep split across processes hands each one a contiguous range of
+those numbers, as Monte Carlo does with its sample indices.  Enumeration
+refuses to run past a small cap: the tree count explodes, and the cap
+keeps mistakes cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError, TooSmallError
@@ -50,30 +53,22 @@ def _check_verifiable(pat: RootedPattern, n: int) -> None:
             f"verification needs n >= p + 2 = {pat.p + 2}, got n = {n}")
 
 
-def _blocks(n: int) -> int:
-    return n if n > 2 else 1
-
-
 def _sweep_all(job, args, n: int, workers: int) -> Counter:
     # Up to n = 6 a sweep costs less than a pool: verify_moments for the
     # edge at n = 3..6 took 0.007 s here, 0.028 s with two workers (best
     # of 5, 2-core VM).  No pool is kept: peak RSS must count its workers.
-    return _fan_out(job, args, 0, _blocks(n), workers if n > 6 else 1)
+    return _fan_out(job, args, n ** (n - 2), workers if n > 6 else 1)
 
 
 def _sequences(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    # Lexicographic order.  Block b holds the sequences led by b + 1 (for
-    # n = 2, block 0 holds the empty sequence alone), so contiguous block
-    # ranges partition the space.
-    if n == 2:
-        return iter([()] * (hi - lo))
-    return product(range(lo + 1, hi + 1), *[range(1, n + 1)] * (n - 3))
+    # Sequences lo..hi - 1 of all n**(n - 2) in lexicographic order.
+    return islice(product(range(1, n + 1), repeat=n - 2), lo, hi)
 
 
 def iter_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     """Yield every labelled tree on n vertices exactly once."""
     _check_cap(n, cap)
-    for seq in _sequences(n, 0, _blocks(n)):
+    for seq in _sequences(n, 0, n ** (n - 2)):
         yield _tree_from_order(n, *_decode(seq, n))
 
 

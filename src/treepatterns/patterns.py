@@ -257,16 +257,16 @@ def _worker_count(workers: int, parts: int) -> int:
     return max(1, min(workers, parts, os.cpu_count() or 1))
 
 
-def _fan_out(job, args, lo: int, hi: int, workers: int) -> Counter:
-    """Sum of job(args, a, b) over contiguous parts [a, b) of lo..hi.
+def _fan_out(job, args, count: int, workers: int) -> Counter:
+    """Sum of job(args, a, b) over contiguous parts [a, b) of 0..count.
 
     One part runs in this process; several run in a process pool, so job
     must be a module-level function and args picklable.
     """
-    k = _worker_count(workers, hi - lo)
+    k = _worker_count(workers, count)
     if k == 1:
-        return job(args, lo, hi)
-    bounds = [lo + (hi - lo) * i // k for i in range(k + 1)]
+        return job(args, 0, count)
+    bounds = [count * i // k for i in range(k + 1)]
     total: Counter = Counter()
     with ProcessPoolExecutor(max_workers=k) as pool:
         for part in pool.map(job, [args] * k, bounds[:-1], bounds[1:]):

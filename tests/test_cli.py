@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,6 +293,23 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert_one_line_input_error(rc, captured)
         assert "samples must be positive" in captured.err
+
+    def test_negative_n_moments_exit_two(self, capsys):
+        rc = cli.main(["moments", "--pattern", "cherry", "--n", "-5"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == ("treepatterns: mean pattern count needs "
+                                "n >= 4, got n = -5\n")
+
+    def test_moments_past_the_digit_ceiling_exit_two_at_once(self, capsys):
+        start = time.perf_counter()
+        rc = cli.main(["moments", "--pattern", "edge", "--n", "1000000000"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == (
+            "treepatterns: n = 1000000000 exceeds the exact-path ceiling: "
+            "n**(n - 2) would have more than 500000 digits\n")
 
     def test_out_of_memory_exits_two_without_a_traceback(self, capsys,
                                                          monkeypatch):

@@ -1,12 +1,14 @@
 """Exact moment formulas: frozen values, identities, domain handling."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 import naive
 from treepatterns import (
+    CapExceededError,
     DomainTooSmallError,
     PairRelation,
     asymptotic_slope,
@@ -23,7 +25,8 @@ from treepatterns import (
     star_pattern,
     variance_pattern_count,
 )
-from treepatterns.moments import rational_str
+from treepatterns import moments
+from treepatterns.moments import MAX_DIGITS, rational_str
 
 F = Fraction
 
@@ -212,6 +215,36 @@ class TestMomentReport:
     def test_below_domain_raises(self):
         with pytest.raises(DomainTooSmallError):
             moment_report(cherry(), 5)
+
+
+class TestOutsideTheDomain:
+    # math.perm raises ValueError on a negative n, so every function must
+    # check the domain before it counts tuples.
+    @pytest.mark.parametrize("func", [
+        mean_pattern_count, variance_pattern_count, chebyshev_zero_bound,
+        moment_report], ids=lambda f: f.__name__)
+    def test_negative_n_is_below_the_domain(self, func):
+        with pytest.raises(DomainTooSmallError):
+            func(cherry(), -1)
+
+    def test_huge_n_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"{MAX_DIGITS} digits"):
+            mean_pattern_count(rooted_edge(), 10**9)
+        assert time.perf_counter() - start < 1
+
+    def test_every_formula_stops_at_the_ceiling(self, monkeypatch):
+        # n**(n - 2) has (n - 2) log10 n digits: 2.1 at n = 5, 3.1 at 6.
+        monkeypatch.setattr(moments, "MAX_DIGITS", 3)
+        edge = rooted_edge()
+        assert occurrence_probability(edge, 5) == Fraction(9, 125)
+        for call in (lambda: occurrence_probability(edge, 6),
+                     lambda: mean_pattern_count(edge, 6),
+                     lambda: pair_occurrence_probability(
+                         edge, 6, PairRelation.ALL_DISTINCT),
+                     lambda: moment_report(edge, 6)):
+            with pytest.raises(CapExceededError, match="than 3 digits"):
+                call()
 
 
 REFERENCE_PATTERNS = ["edge", "cherry", "star3", "path4@end", "path5@mid"]

@@ -1,5 +1,6 @@
 """Exhaustive enumeration: tree sweeps, exact distributions, formula checks."""
 
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from treepatterns import patterns
 from treepatterns.oracle import (
     ExactDistribution,
     FormulaCheck,
-    _blocks,
     _counts_job,
     _fixed_tuples,
     _moment_job,
@@ -125,7 +125,7 @@ class TestExactDistribution:
         # verify_moments needs n >= p + 2 = 3, so its sweep is called
         # directly at n = 2.
         pat = rooted_edge()
-        tally = patterns._fan_out(_moment_job, (2, pat), 0, _blocks(2), 3)
+        tally = patterns._fan_out(_moment_job, (2, pat), 1, 3)
         assert sum(tally.values()) == 1
 
     def test_histogram_must_cover_every_tree(self):
@@ -154,7 +154,7 @@ class TestMixedSizeCounts:
 
     def joint(self, n):
         pats = [pattern_from_name(name) for name in self.NAMES]
-        return _counts_job((n, pats), 0, _blocks(n))
+        return _counts_job((n, pats), 0, n ** (n - 2))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_joint_histogram_matches_the_naive_count(self, n):
@@ -200,7 +200,7 @@ class TestMomentSweep:
     @pytest.mark.parametrize("name", sorted(MOMENT_7))
     def test_tallies_at_seven(self, name):
         pat = pattern_from_name(name)
-        assert _moment_job((7, pat), 0, _blocks(7)) == self.MOMENT_7[name]
+        assert _moment_job((7, pat), 0, 7 ** 5) == self.MOMENT_7[name]
 
     # Every n from p + 2, the first that verify_moments sweeps, up to 6.
     @pytest.mark.parametrize("name, n", [
@@ -218,7 +218,57 @@ class TestMomentSweep:
             if not found[0]:
                 found = [False] * 4
             want[(*found, naive.naive_count(t, pat))] += 1
-        assert _moment_job((n, pat), 0, _blocks(n)) == want
+        assert _moment_job((n, pat), 0, n ** (n - 2)) == want
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor: run every part in this process
+    and return the list of index ranges the parts were given."""
+    parts = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, los, his):
+            parts.extend(zip(los, his))
+            return map(fn, args, los, his)
+
+    monkeypatch.setattr(patterns, "ProcessPoolExecutor", Pool)
+    return parts
+
+
+class TestSweepSplit:
+    # A pooled sweep splits the n**(n - 2) sequence indices into equal
+    # contiguous parts, by the same rule as Monte Carlo's sample indices.
+    def test_two_workers_get_equal_index_ranges(self, in_process_pool,
+                                                monkeypatch):
+        serial = verify_moments(cherry(), 7, workers=1)
+        assert in_process_pool == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = verify_moments(cherry(), 7, workers=2)
+        assert in_process_pool == [(0, 8403), (8403, 16807)]
+        assert pooled.checks == serial.checks
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parts_tile_the_sweep(self, in_process_pool, monkeypatch,
+                                  workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pats = [pattern_from_name(name) for name in TestMixedSizeCounts.NAMES]
+        for n in range(2, 8):
+            serial = exact_pattern_distributions(n, pats, workers=1)
+            pooled = exact_pattern_distributions(n, pats, workers=workers)
+            assert ([d.histogram for d in pooled]
+                    == [d.histogram for d in serial])
+        bounds = [7 ** 5 * i // workers for i in range(workers + 1)]
+        assert in_process_pool == list(zip(bounds, bounds[1:]))
 
 
 class TestVerifyLabelledCount:
