@@ -15,7 +15,6 @@ from .errors import (
     TreePatternError,
     VertexOutOfRangeError,
     WrongEdgeCountError,
-    ZeroMeanError,
 )
 from .isomorphism import (
     CanonicalForm,

@@ -41,10 +41,6 @@ class DomainTooSmallError(TreePatternError):
     """n is below the domain of an exact formula; no silent zero is returned."""
 
 
-class ZeroMeanError(TreePatternError):
-    """A ratio bound is undefined because the mean is zero."""
-
-
 class SampleCountError(TreePatternError, ValueError):
     """A Monte Carlo run was asked for fewer than one sample."""
 

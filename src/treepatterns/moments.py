@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import CapExceededError, DomainTooSmallError, ZeroMeanError
+from .errors import CapExceededError, DomainTooSmallError
 from .isomorphism import RootedPattern, labelled_rooted_count
 
 # The most digits n**(n - 2) may have, reached near n = 10**5, where a
@@ -104,10 +104,9 @@ def _moments(pat: RootedPattern, n: int) -> tuple[Fraction, Fraction]:
     return mean, _tuple_count(pat, n, 2) * q2 + mean
 
 
-def _zero_bound(mean: Fraction, second: Fraction) -> Fraction:
-    if mean == 0:
-        raise ZeroMeanError("zero mean; the ratio bound is undefined")
-    return second / (mean * mean) - 1
+def _zero_bound(square: Fraction, second: Fraction) -> Fraction:
+    # square = mean**2, positive wherever the second moment is defined
+    return second / square - 1
 
 
 def second_moment_pattern_count(pat: RootedPattern, n: int) -> Fraction:
@@ -123,7 +122,8 @@ def variance_pattern_count(pat: RootedPattern, n: int) -> Fraction:
 
 def chebyshev_zero_bound(pat: RootedPattern, n: int) -> Fraction:
     """Upper bound on P(no occurrence): second/mean**2 - 1."""
-    return _zero_bound(*_moments(pat, n))
+    mean, second = _moments(pat, n)
+    return _zero_bound(mean * mean, second)
 
 
 def asymptotic_slope(pat: RootedPattern) -> float:
@@ -168,8 +168,9 @@ class MomentReport:
 
 def moment_report(pat: RootedPattern, n: int) -> MomentReport:
     mean, second = _moments(pat, n)
+    square = mean * mean
     return MomentReport(n=n, p=pat.p, aut_root_order=pat.aut_root_order,
                         mean=mean, second_moment=second,
-                        variance=second - mean * mean,
-                        chebyshev_zero_bound=_zero_bound(mean, second),
+                        variance=second - square,
+                        chebyshev_zero_bound=_zero_bound(square, second),
                         asymptotic_slope=asymptotic_slope(pat))

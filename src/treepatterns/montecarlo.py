@@ -211,6 +211,14 @@ def _tally_job(args, lo: int, hi: int):
                    for k in range(lo, hi))
 
 
+def _check_run(pat: RootedPattern, n: int, samples: int) -> None:
+    if n < pat.p + 1:
+        raise DomainTooSmallError(
+            f"host tree needs at least p + 1 = {pat.p + 1} vertices")
+    if samples < 1:
+        raise SampleCountError(f"samples must be positive, got {samples}")
+
+
 def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
                            seed: int, workers: int = 1) -> McEstimate:
     """Estimate containment probability and mean count by simulation.
@@ -218,11 +226,7 @@ def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
     Tallies are integers and samples are keyed by index, so the result is
     bit-identical for any worker count.
     """
-    if n < pat.p + 1:
-        raise DomainTooSmallError(
-            f"host tree needs at least p + 1 = {pat.p + 1} vertices")
-    if samples < 1:
-        raise SampleCountError(f"samples must be positive, got {samples}")
+    _check_run(pat, n, samples)
     hist = _fan_out(_tally_job, (n, seed, pat), samples, workers)
     return McEstimate(n, samples, seed, samples - hist[0],
                       sum(c * k for c, k in hist.items()),
@@ -249,18 +253,22 @@ def convergence_experiment(pat: RootedPattern, n_list, samples: int,
 
     Exact columns are attached where the formulas are defined (the mean
     needs n >= p + 2, the bound n >= 2(p + 1)) and left empty otherwise.
+    Every n is checked, and its exact columns computed, before the first
+    sample, so a refused n costs no simulation.
     """
-    rows = []
+    columns = []
     for n in n_list:
-        est = estimate_pattern_stats(pat, n, samples, seed, workers)
+        _check_run(pat, n, samples)
         exact = bound = None
         if n >= 2 * (pat.p + 1):
             exact, second = _moments(pat, n)
-            bound = _zero_bound(exact, second)
+            bound = _zero_bound(exact * exact, second)
         elif n >= pat.p + 2:
             exact = mean_pattern_count(pat, n)
-        rows.append(ConvergenceRow(est, exact, bound))
-    return rows
+        columns.append((n, exact, bound))
+    return [ConvergenceRow(estimate_pattern_stats(pat, n, samples, seed,
+                                                  workers), exact, bound)
+            for n, exact, bound in columns]
 
 
 def convergence_csv(rows) -> str:

@@ -101,7 +101,6 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     if n < 1:
         raise TooSmallError("a tree needs at least one vertex")
     seen: set[Edge] = set()
-    norm: list[Edge] = []
     for e in edges:
         u, v = e
         if u == v:
@@ -112,11 +111,10 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> Tree:
         if key in seen:
             raise DuplicateEdgeError(f"edge {key} listed twice")
         seen.add(key)
-        norm.append(key)
-    if len(norm) != n - 1:
+    if len(seen) != n - 1:
         raise WrongEdgeCountError(
-            f"{len(norm)} edges for n={n}; a tree needs {n - 1}")
-    t = Tree(n, frozenset(norm))
+            f"{len(seen)} edges for n={n}; a tree needs {n - 1}")
+    t = Tree(n, frozenset(seen))
     adj = t.adjacency
     # Not _walk: untrusted input may hold a cycle, so mark visited vertices.
     reached = 1

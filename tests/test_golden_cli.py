@@ -33,6 +33,7 @@ FILES = {
     "seq.txt": "n 9\n3 2 2 4 8 4 9\n",
     "vee.txt": "n 3\n1 2\n1 3\nroot 1\n",
     "bad.txt": "nope\n",
+    "comment.txt": "# no header, no entries\n",
 }
 
 MC = ["--pattern", "cherry", "--n", "40", "--samples", "300", "--seed", "7"]
@@ -70,6 +71,7 @@ CASES = {
     "converge-csv": [*CONVERGE, "--csv"],
     # Invalid input: exit 2 with one line on stderr.
     "decode-malformed": ["decode", "bad.txt"],
+    "decode-empty": ["decode", "comment.txt"],
     "encode-missing-file": ["encode", "absent.txt"],
     "verify-past-cap": ["verify", "--pattern", "cherry", "--n", "2000"],
     "verify-n-max-past-cap": ["verify", "--pattern", "edge", "--n-max", "6",
@@ -82,6 +84,8 @@ CASES = {
     "converge-negative-samples": ["converge", "--pattern", "cherry",
                                   "--n-list", "10,20", "--samples", "-5",
                                   "--seed", "1"],
+    "converge-past-ceiling": ["converge", "--pattern", "edge", "--n-list",
+                              "10,300000", "--samples", "2", "--seed", "1"],
     "converge-bad-n-list": ["converge", "--pattern", "edge", "--n-list",
                             "4,x", "--samples", "10", "--seed", "1"],
     "moments-below-domain": ["moments", "--pattern", "star3", "--n", "3"],

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treepatterns import (
+    CapExceededError,
     DomainTooSmallError,
     McEstimate,
     PruferSequence,
@@ -267,6 +268,19 @@ class TestConvergence:
         assert by_n[4].cheb_bound is None
         assert by_n[6].exact_mean == mean_pattern_count(cherry(), 6)
         assert by_n[6].cheb_bound == chebyshev_zero_bound(cherry(), 6)
+
+    def test_every_n_is_checked_before_the_first_sample(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr(montecarlo, "_fan_out", no_sampling)
+        with pytest.raises(CapExceededError, match="n = 300000"):
+            convergence_experiment(rooted_edge(), [10, 300000], 20, 1)
+        with pytest.raises(DomainTooSmallError, match="p \\+ 1 = 3"):
+            convergence_experiment(cherry(), [50, 2], 20, 1)
+        # list order decides which refusal is raised
+        with pytest.raises(DomainTooSmallError):
+            convergence_experiment(rooted_edge(), [1, 300000], 20, 1)
 
     def test_csv_layout(self):
         rows = convergence_experiment(cherry(), [3, 6], 40, seed=2)
