@@ -7,6 +7,7 @@ out-of-domain or out-of-memory request), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -268,7 +269,9 @@ def _cmd_converge(args) -> int:
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok]
     except ValueError:
-        raise TreePatternError(f"bad --n-list {args.n_list!r}") from None
+        n_list = []
+    if not n_list:
+        raise TreePatternError(f"bad --n-list {args.n_list!r}")
     rows = convergence_experiment(pat, n_list, args.samples, args.seed,
                                   args.workers)
     if args.csv:
@@ -289,6 +292,7 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="treepatterns",

@@ -27,6 +27,8 @@ from treepatterns import (
 )
 from treepatterns import cli
 
+from test_golden_cli import run_case
+
 
 def path_text(n):
     return tree_to_text(build_tree(n, [(i, i + 1) for i in range(1, n)]))
@@ -311,6 +313,14 @@ class TestInputErrors:
             "treepatterns: n = 1000000000 exceeds the exact-path ceiling: "
             "n**(n - 2) would have more than 500000 digits\n")
 
+    @pytest.mark.parametrize("n_list", [",", ",,", ""])
+    def test_empty_n_list_exits_two(self, capsys, n_list):
+        rc = cli.main(["converge", "--pattern", "cherry", "--n-list", n_list,
+                       "--samples", "5", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == f"treepatterns: bad --n-list {n_list!r}\n"
+
     def test_out_of_memory_exits_two_without_a_traceback(self, capsys,
                                                          monkeypatch):
         # A huge --n can exhaust memory in any command; stand in for it.
@@ -383,3 +393,69 @@ class TestConsoleScript:
             cwd=tmp_path, env=child_env(), capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert tree_from_text((tmp_path / "t.txt").read_text()).n == 6
+
+
+MC_RUN = ["mc", "--pattern", "cherry", "--n", "40", "--samples", "60",
+          "--seed", "7"]
+
+
+def run_fresh(argv, cwd):
+    """``run_case``'s record of argv, from a new ``python -m treepatterns``
+    process."""
+    run = subprocess.run([sys.executable, "-m", "treepatterns", *argv],
+                         cwd=cwd, env=child_env(), capture_output=True,
+                         text=True)
+    return {"argv": argv, "exit": run.returncode, "stdout": run.stdout,
+            "stderr": run.stderr}
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call leaks
+    into the next."""
+
+    @pytest.mark.parametrize("calls", [
+        [["verify", "--pattern", "edge", "--n", "4", "--n-max", "5"],
+         ["verify", "--pattern", "edge", "--n", "4"]],
+        [["moments", "--pattern", "cherry", "--n", "12", "--json"],
+         ["moments", "--pattern", "cherry", "--n", "12"]],
+        [["gen", "--n", "9", "--seed", "4", "--out", "t.txt"],
+         ["gen", "--n", "9", "--seed", "4"]],
+        [[*MC_RUN, "--workers", "2"], MC_RUN],
+    ], ids=["usage-error-then-verify", "json-then-text", "out-then-stdout",
+            "workers-then-default"])
+    def test_each_call_matches_a_fresh_process(self, calls, tmp_path,
+                                               monkeypatch):
+        workers = []
+
+        def recording(pat, n, samples, seed, workers_arg):
+            workers.append(workers_arg)
+            return estimate_pattern_stats(pat, n, samples, seed, workers_arg)
+
+        monkeypatch.setattr(cli, "estimate_pattern_stats", recording)
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        for argv in calls:
+            assert run_case(argv) == run_fresh(argv, fresh)
+            # Files the call wrote, byte for byte.
+            assert ({f.name: f.read_bytes() for f in here.iterdir()}
+                    == {f.name: f.read_bytes() for f in fresh.iterdir()})
+        # mc prints the same tallies for any worker count, so check the
+        # count it ran with.
+        if workers:
+            assert workers == [2, 1]
+
+    def test_three_calls_parse_with_one_parser(self, monkeypatch, capsys):
+        parsers = []
+        parse_args = cli._Parser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording)
+        for n in ("12", "13", "14"):
+            assert cli.main(["moments", "--pattern", "cherry", "--n", n]) == 0
+        assert len(parsers) == 3
+        assert all(p is cli.build_parser() for p in parsers)

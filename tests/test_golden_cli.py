@@ -88,6 +88,8 @@ CASES = {
                               "10,300000", "--samples", "2", "--seed", "1"],
     "converge-bad-n-list": ["converge", "--pattern", "edge", "--n-list",
                             "4,x", "--samples", "10", "--seed", "1"],
+    "converge-empty-n-list": ["converge", "--pattern", "cherry", "--n-list",
+                              ",", "--samples", "5", "--seed", "1"],
     "moments-below-domain": ["moments", "--pattern", "star3", "--n", "3"],
     "bad-pattern-name": ["moments", "--pattern", "path4@mid", "--n", "9"],
     # Usage errors: exit 1.
