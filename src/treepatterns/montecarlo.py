@@ -29,7 +29,7 @@ from .errors import DomainTooSmallError, SampleCountError, TooSmallError
 from .isomorphism import RootedPattern
 from .moments import _moments, _zero_bound, mean_pattern_count, rational_str
 from .patterns import _fan_out, _occurrence_finder
-from .trees import PruferSequence, Tree, prufer_decode
+from .trees import PruferSequence, Tree, _decode, prufer_decode
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -203,12 +203,13 @@ class McEstimate:
 
 
 def _tally_job(args, lo: int, hi: int):
-    # Same draws and same counting core as sample_tree + count_patterns,
+    # Same draws, decoder and counting core as sample_tree + count_patterns,
     # minus the per-sample Tree object; the equivalence is under test.
     n, seed, pat = args
-    kernel = _occurrence_finder(n, [pat])[0]
-    return Counter(len(kernel(stream_for(seed, k).randints(n - 2, n))[0])
-                   for k in range(lo, hi))
+    find = _occurrence_finder(n, [pat])
+    return Counter(
+        len(find(*_decode(stream_for(seed, k).randints(n - 2, n), n)))
+        for k in range(lo, hi))
 
 
 def _check_run(pat: RootedPattern, n: int, samples: int) -> None:

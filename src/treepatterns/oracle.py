@@ -4,13 +4,13 @@ Every labelled tree on n vertices is visited exactly once by decoding all
 n**(n-2) Pruefer sequences.  On top of that sweep sit the exact occurrence
 count distribution, a check of the labelled rooted count p!/aut against
 direct enumeration, and per-formula comparisons of the exact moments with
-exhaustive averages.  Each sequence goes through the counting kernel,
-which decodes and counts in one pass, and the fixed tuples are checked on
-the decoded edges.  The sequences are numbered in lexicographic order,
-and a sweep split across processes hands each one a contiguous range of
-those numbers, as Monte Carlo does with its sample indices.  Enumeration
-refuses to run past a small cap: the tree count explodes, and the cap
-keeps mistakes cheap.
+exhaustive averages.  Each sequence is decoded by trees._decode, the
+counting core reads the removal order it returns, and the fixed tuples
+are checked on the decoded edges.  The sequences are numbered in
+lexicographic order, and a sweep split across processes hands each one a
+contiguous range of those numbers, as Monte Carlo does with its sample
+indices.  Enumeration refuses to run past a small cap: the tree count
+explodes, and the cap keeps mistakes cheap.
 """
 
 from __future__ import annotations
@@ -123,11 +123,11 @@ def _marginal(tally: Counter, i: int) -> dict[int, int]:
 
 def _counts_job(args, lo: int, hi: int) -> Counter:
     n, pats = args
-    kernel = _occurrence_finder(n, pats)[0]
+    find = _occurrence_finder(n, pats)
 
     def outcome(seq):
         counts = [0] * len(pats)
-        for i, _, _ in kernel(seq)[0]:
+        for i, _, _ in find(*_decode(seq, n)):
             counts[i] += 1
         return tuple(counts)
 
@@ -232,19 +232,20 @@ def _moment_job(args, lo: int, hi: int) -> Counter:
     rd, od = tup["disjoint"]
     rs, os_ = tup["overlap_same_root"]
     ro, oo = tup["overlap_diff_root"]
-    kernel = _occurrence_finder(n, [pat])[0]
+    find = _occurrence_finder(n, [pat])
     # The pairs (v, parent[v]) for v < n: the edges, and (0, 0).  Below
     # n = 2(p + 1) the disjoint tuple holds a label above n, so it has
     # fewer than p inner edges and is never an occurrence.
     child = range(n)
 
     def outcome(seq):
-        hits, parent = kernel(seq)
+        order, parent = _decode(seq, n)
+        count = len(find(order, parent))
         if not _is_occurrence(zip(child, parent), r1, o1, pat):
-            return False, False, False, False, len(hits)
+            return False, False, False, False, count
         return (True, _is_occurrence(zip(child, parent), rd, od, pat),
                 _is_occurrence(zip(child, parent), rs, os_, pat),
-                _is_occurrence(zip(child, parent), ro, oo, pat), len(hits))
+                _is_occurrence(zip(child, parent), ro, oo, pat), count)
 
     return Counter(map(outcome, _sequences(n, lo, hi)))
 

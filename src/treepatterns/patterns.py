@@ -12,12 +12,12 @@ Shapes are compared as integers, after Aho, Hopcroft and Ullman: the
 patterns' canonical shape tables are merged into one table that numbers
 each of their fringe subtrees, keyed by the multiset of its children's
 IDs.  The counting core reads the host rooted at vertex n and adds up
-subtree sizes and IDs child before parent.  Its kernel does so inside the
-Pruefer decode loop, as each leaf is removed, so a sampled or enumerated
-tree costs one pass; count_patterns walks a Tree with trees._walk.  The
-side of an edge that holds n is coded by a walk of at most m vertices up
-to n.  is_pattern stays on the definition: it reads the host's edges and
-compares canonical forms.
+subtree sizes and IDs child before parent, in any order that lists each
+vertex after its children: the samplers and the oracle pass the removal
+order of trees._decode, and count_patterns a walk of a Tree with
+trees._walk.  The side of an edge that holds n is coded by a walk of at
+most m vertices up to n.  is_pattern stays on the definition: it reads
+the host's edges and compares canonical forms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 from .errors import DuplicateVerticesError, FormatError, IndexOutOfRangeError
@@ -145,12 +144,11 @@ def _shape_table(pats, base: int):
 def _occurrence_finder(n: int, pats):
     """Counting core for trees on n vertices, rooted at n.
 
-    Returns kernel(seq), which decodes a Pruefer sequence as trees._decode
-    does and counts in the same loop, and find(order, parent) for a tree
-    given as every vertex but n, children first, and its parent array.
-    Both find a (pattern index, occurrence root, cut neighbour) triple per
-    occurrence; kernel returns the parent array too.  IDs are computed only
-    for subtrees of at most top vertices, the largest pattern size.
+    Returns find(order, parent) for a tree given as every vertex but n,
+    children first, and its parent array, as trees._decode returns it.
+    find lists a (pattern index, occurrence root, cut neighbour) triple
+    per occurrence.  IDs are computed only for subtrees of at most top
+    vertices, the largest pattern size.
     """
     # A shape missing from the table gets ID -1, so its weight is that of
     # the last ID.  Shapes are numbered after their children, so no shape
@@ -165,7 +163,24 @@ def _occurrence_finder(n: int, pats):
         if pat.p < n:
             near[pat.p + 1] += ((i, pid),)
 
-    def root_side(hits, cuts, parent, size, key) -> None:
+    def find(order, parent) -> list[tuple[int, int, int]]:
+        # A vertex's subtree is complete when the order reaches it.
+        size = [1] * (n + 1)
+        key = [0] * (n + 1)
+        hits: list[tuple[int, int, int]] = []
+        cuts = []
+        for v in order:
+            s = size[v]
+            pv = parent[v]
+            size[pv] += s
+            if s <= top:
+                h = get(key[v], -1)
+                key[pv] += weight[h]
+                for i, pid in near[s]:
+                    if h == pid:
+                        hits.append((i, v, pv))
+            if s >= low:
+                cuts.append(v)
         # The root's side of v's edge, rooted at v's parent, is coded down
         # the path from the root: each path vertex keeps its key but the
         # path child's weight, and gains the weight of the part above it.
@@ -190,65 +205,9 @@ def _occurrence_finder(n: int, pats):
             for i, pid in group:
                 if h == pid:
                     hits.append((i, path[1], v))
-
-    def kernel(seq) -> tuple[list[tuple[int, int, int]], list[int]]:
-        # A leaf's subtree is complete when the leaf is removed.  deg[n + 1]
-        # = 1 ends the leaf scan after the last edge, from the last leaf to n.
-        deg = [1] * (n + 2)
-        for s in seq:
-            deg[s] += 1
-        parent = [0] * (n + 1)
-        size = [1] * (n + 1)
-        key = [0] * (n + 1)
-        hits: list[tuple[int, int, int]] = []
-        cuts = []
-        v = ptr = deg.index(1, 1)
-        for pv in chain(seq, (n,)):
-            parent[v] = pv
-            s = size[v]
-            size[pv] += s
-            if s <= top:
-                h = get(key[v], -1)
-                key[pv] += weight[h]
-                for i, pid in near[s]:
-                    if h == pid:
-                        hits.append((i, v, pv))
-            if s >= low:
-                cuts.append(v)
-            deg[pv] -= 1
-            if deg[pv] == 1 and pv < ptr:
-                v = pv
-            else:
-                ptr += 1
-                while deg[ptr] != 1:
-                    ptr += 1
-                v = ptr
-        if cuts:
-            root_side(hits, cuts, parent, size, key)
-        return hits, parent
-
-    def find(order, parent) -> list[tuple[int, int, int]]:
-        size = [1] * (n + 1)
-        key = [0] * (n + 1)
-        hits: list[tuple[int, int, int]] = []
-        cuts = []
-        for v in order:
-            s = size[v]
-            pv = parent[v]
-            size[pv] += s
-            if s <= top:
-                h = get(key[v], -1)
-                key[pv] += weight[h]
-                for i, pid in near[s]:
-                    if h == pid:
-                        hits.append((i, v, pv))
-            if s >= low:
-                cuts.append(v)
-        if cuts:
-            root_side(hits, cuts, parent, size, key)
         return hits
 
-    return kernel, find
+    return find
 
 
 def _worker_count(workers: int, parts: int) -> int:
@@ -279,7 +238,7 @@ def _pattern_cuts(t: Tree, pat: RootedPattern) -> list[tuple[int, int, int]]:
     parent = [0] * (t.n + 1)
     for v, u in zip(order, up):
         parent[v] = u
-    return _occurrence_finder(t.n, [pat])[1](order[:0:-1], parent)
+    return _occurrence_finder(t.n, [pat])(order[:0:-1], parent)
 
 
 def count_patterns(t: Tree, pat: RootedPattern) -> int:

@@ -34,7 +34,7 @@ from treepatterns.patterns import (
     _worker_count,
     is_builtin_pattern_name,
 )
-from treepatterns.trees import _decode
+from treepatterns.trees import _decode, _tree_from_order, _walk
 
 import naive
 
@@ -196,15 +196,16 @@ MIXED_NAMES = ["edge", "cherry", "star3", "path4@end"]
 
 
 def decoded_count(t, pat):
-    """Count through the fused decode kernel, as the samplers do."""
-    return len(_occurrence_finder(t.n, [pat])[0](prufer_encode(t).seq)[0])
+    """Count on the decoder's removal order, as the samplers do."""
+    return len(_occurrence_finder(t.n, [pat])(
+        *_decode(prufer_encode(t).seq, t.n)))
 
 
 class TestCountingCore:
     # Both callers root the host at vertex n: count_patterns through a
-    # DFS, the samplers through the decoder.  The side of an edge that
-    # holds n is coded by the walk up to n, the other by the bottom-up
-    # pass; each host below needs one or both.
+    # breadth-first walk, the samplers through the decoder.  The side of
+    # an edge that holds n is coded by the walk up to n, the other by the
+    # bottom-up pass; each host below needs one or both.
 
     @pytest.mark.parametrize("name", MIXED_NAMES)
     def test_both_sides_of_one_edge_match_at_twice_the_size(self, name):
@@ -252,22 +253,25 @@ class TestCountingCore:
                for o in find_patterns(host, pat)]
         assert got == [(2, 3, 1501), (1500, 1, 1499)]
 
-
-class TestKernel:
-    # The kernel decodes and counts in one loop; it must agree with the
-    # decoder followed by the order-based count, hit for hit.
-
     @pytest.mark.parametrize("pats", [
         SMALL_PATTERNS, [pattern_from_name(name) for name in MIXED_NAMES],
     ], ids=["small", "mixed"])
-    def test_matches_decode_then_find_exhaustively(self, pats):
-        for n in range(2, 9):
-            kernel, find = _occurrence_finder(n, pats)
+    def test_decode_and_walk_orders_find_the_same_hits(self, pats):
+        # Two child-first orders of every tree with n <= 7: the decoder's
+        # leaf removals and the reversed breadth-first walk that
+        # count_patterns takes.  One core must find the same hits in both.
+        for n in range(2, 8):
+            find = _occurrence_finder(n, pats)
             for seq in product(range(1, n + 1), repeat=n - 2):
                 order, parent = _decode(seq, n)
-                hits, got_parent = kernel(seq)
-                assert got_parent == parent
-                assert sorted(hits) == sorted(find(order, parent))
+                tree = _tree_from_order(n, order, parent)
+                walk, up = _walk(tree.adjacency, n)
+                walk_parent = [0] * (n + 1)
+                for v, u in zip(walk, up):
+                    walk_parent[v] = u
+                assert walk_parent == parent
+                assert sorted(find(order, parent)) == sorted(
+                    find(walk[:0:-1], walk_parent))
 
     def test_building_it_takes_memory_of_the_pattern_size(self):
         # Nothing is allocated per host vertex until a tree is counted.
