@@ -1,7 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input (file, format,
-out-of-domain or out-of-memory request), 3 verification failure.
+Each command reads its inputs, returns its rendered text and its exit
+code, and writes nothing: main alone writes that text, to stdout or to
+--out.  Exit codes: 0 success, 1 usage error, 2 invalid input (file,
+format, non-UTF-8 text, out-of-domain or out-of-memory request), 3
+verification failure, whose report is still written.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import functools
 import json
 import sys
 
-from .errors import TreePatternError
+from .errors import FormatError, TreePatternError
 from .isomorphism import (
     RootedPattern,
     aut_rooted,
@@ -64,18 +67,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        where = "stdin" if path == "-" else repr(path)
+        raise FormatError(f"{where} is not UTF-8 text") from None
 
 
 def _load_tree(path: str):
@@ -88,76 +87,66 @@ def _load_pattern(source: str) -> RootedPattern:
     return pattern_from_text(_read_text(source))
 
 
-def _cmd_gen(args) -> int:
-    t = sample_tree(args.n, stream_for(args.seed, 0))
-    _write_text(args.out, tree_to_text(t))
-    return 0
+def _json(rec) -> str:
+    return json.dumps(rec, indent=2) + "\n"
 
 
-def _cmd_encode(args) -> int:
-    t = _load_tree(args.file)
-    _write_text(args.out, prufer_to_text(prufer_encode(t)))
-    return 0
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_decode(args) -> int:
+def _cmd_gen(args) -> tuple[str, int]:
+    return tree_to_text(sample_tree(args.n, stream_for(args.seed, 0))), 0
+
+
+def _cmd_encode(args) -> tuple[str, int]:
+    return prufer_to_text(prufer_encode(_load_tree(args.file))), 0
+
+
+def _cmd_decode(args) -> tuple[str, int]:
     s = prufer_from_text(_read_text(args.file))
-    _write_text(args.out, tree_to_text(prufer_decode(s)))
-    return 0
+    return tree_to_text(prufer_decode(s)), 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple[str, int]:
     t = _load_tree(args.tree)
-    pat = _load_pattern(args.pattern)
-    occs = find_patterns(t, pat)
+    occs = find_patterns(t, _load_pattern(args.pattern))
     if args.json:
-        rec = {
+        return _json({
             "count": len(occs),
             "occurrences": [{"root": o.root, "others": sorted(o.others)}
                             for o in occs],
-        }
-        _write_text(args.out, json.dumps(rec, indent=2) + "\n")
-        return 0
-    lines = [str(len(occs))]
-    lines.extend(f"{o.root}: {' '.join(str(v) for v in sorted(o.others))}"
-                 for o in occs)
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+        }), 0
+    return _lines([str(len(occs))] + [
+        f"{o.root}: {' '.join(str(v) for v in sorted(o.others))}"
+        for o in occs]), 0
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args) -> tuple[str, int]:
     t = _load_tree(args.tree)
     if args.root is not None:
-        value = aut_rooted(RootedTree(t, args.root))
-    else:
-        value = aut_unrooted(t)
-    _write_text(args.out, f"{value}\n")
-    return 0
+        return f"{aut_rooted(RootedTree(t, args.root))}\n", 0
+    return f"{aut_unrooted(t)}\n", 0
 
 
-def _cmd_center(args) -> int:
+def _cmd_center(args) -> tuple[str, int]:
     c = tree_center(_load_tree(args.tree))
     if c.is_edge:
-        _write_text(args.out, f"edge {c.vertices[0]} {c.vertices[1]}\n")
-    else:
-        _write_text(args.out, f"vertex {c.vertex}\n")
-    return 0
+        return f"edge {c.vertices[0]} {c.vertices[1]}\n", 0
+    return f"vertex {c.vertex}\n", 0
 
 
-def _cmd_rootify(args) -> int:
+def _cmd_rootify(args) -> tuple[str, int]:
     rt = rootify(_load_tree(args.tree))
-    _write_text(args.out, tree_to_text(rt.tree) + f"root {rt.root}\n")
-    return 0
+    return tree_to_text(rt.tree) + f"root {rt.root}\n", 0
 
 
-def _cmd_moments(args) -> int:
-    pat = _load_pattern(args.pattern)
-    rep = moment_report(pat, args.n)
-    if args.json:
-        _write_text(args.out, json.dumps(rep.to_dict(), indent=2) + "\n")
-        return 0
+def _cmd_moments(args) -> tuple[str, int]:
+    rep = moment_report(_load_pattern(args.pattern), args.n)
     d = rep.to_dict()
-    lines = [
+    if args.json:
+        return _json(d), 0
+    return _lines([
         f"n                    {rep.n}",
         f"p                    {rep.p}",
         f"aut_root_order       {rep.aut_root_order}",
@@ -168,16 +157,12 @@ def _cmd_moments(args) -> int:
         f"chebyshev_zero_bound {d['chebyshev_zero_bound']} "
         f"({d['chebyshev_zero_bound_float']:.6g})",
         f"asymptotic_slope     {rep.asymptotic_slope:.10g}",
-    ]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
-
-
+    ]), 0
 def _fmt_opt(q) -> str:
     return rational_str(q) if q is not None else "-"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     pat = _load_pattern(args.pattern)
     if args.n is not None:
         ns = [args.n]
@@ -196,8 +181,9 @@ def _cmd_verify(args) -> int:
     results = [verify_moments(pat, n, cap=args.cap, workers=args.workers)
                for n in ns]
     passed = lc.equal and all(r.all_passed for r in results)
+    code = 0 if passed else VERIFY_FAILURE
     if args.json:
-        rec = {
+        return _json({
             "pattern": args.pattern,
             "p": pat.p,
             "aut_root_order": pat.aut_root_order,
@@ -223,9 +209,7 @@ def _cmd_verify(args) -> int:
                 for r in results
             ],
             "passed": passed,
-        }
-        _write_text(args.out, json.dumps(rec, indent=2) + "\n")
-        return 0 if passed else VERIFY_FAILURE
+        }), code
     lines = [
         f"labelled_count           enumerated={lc.enumerated} "
         f"formula={lc.formula} {'ok' if lc.equal else 'FAIL'}"
@@ -240,18 +224,16 @@ def _cmd_verify(args) -> int:
                     f"n={r.n:<3} {c.name:<24} oracle={_fmt_opt(c.oracle_value)} "
                     f"formula={_fmt_opt(c.formula_value)} {mark}")
     lines.append("all checks passed" if passed else "VERIFICATION FAILED")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0 if passed else VERIFY_FAILURE
+    return _lines(lines), code
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> tuple[str, int]:
     pat = _load_pattern(args.pattern)
     est = estimate_pattern_stats(pat, args.n, args.samples, args.seed,
                                  args.workers)
     if args.json:
-        _write_text(args.out, json.dumps(est.to_dict(), indent=2) + "\n")
-        return 0
-    lines = [
+        return _json(est.to_dict()), 0
+    return _lines([
         f"n          {est.n}",
         f"samples    {est.samples}",
         f"seed       {est.seed}",
@@ -259,12 +241,10 @@ def _cmd_mc(args) -> int:
         f"p_hat      {est.p_hat:.6g}  (95% CI {est.p_ci_low:.6g}.."
         f"{est.p_ci_high:.6g})",
         f"mean_hat   {est.mean_hat:.6g}  (stderr {est.stderr_mean:.3g})",
-    ]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    ]), 0
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args) -> tuple[str, int]:
     pat = _load_pattern(args.pattern)
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok]
@@ -275,8 +255,7 @@ def _cmd_converge(args) -> int:
     rows = convergence_experiment(pat, n_list, args.samples, args.seed,
                                   args.workers)
     if args.csv:
-        _write_text(args.out, convergence_csv(rows))
-        return 0
+        return convergence_csv(rows), 0
     lines = [f"{'n':>6} {'p_hat':>10} {'ci_low':>10} {'ci_high':>10} "
              f"{'mean_hat':>10} {'exact_mean':>12} {'cheb_bound':>12}"]
     for row in rows:
@@ -288,8 +267,7 @@ def _cmd_converge(args) -> int:
         lines.append(f"{e.n:>6} {e.p_hat:>10.6f} {e.p_ci_low:>10.6f} "
                      f"{e.p_ci_high:>10.6f} {e.mean_hat:>10.6f} "
                      f"{exact:>12} {bound:>12}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return _lines(lines), 0
 
 
 @functools.cache  # built on the first main() call, then reused
@@ -377,7 +355,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except (TreePatternError, OSError, MemoryError) as exc:
         print(f"treepatterns: {str(exc) or 'out of memory'}", file=sys.stderr)
         return INPUT_ERROR

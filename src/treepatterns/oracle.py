@@ -259,56 +259,44 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
     """
     _check_cap(n, cap)
     _check_verifiable(pat, n)
-    p = pat.p
     tally = _sweep_all(_moment_job, (n, pat), n, workers)
     g_base, g_disjoint, g_same, g_diff = (
         sum(c for key, c in tally.items() if key[i]) for i in range(4))
     total = n ** (n - 2)
     dist = ExactDistribution(n, pat, _marginal(tally, 4), total)
-    pair_ok = n >= 2 * (p + 1)
+    least = 2 * (pat.p + 1)
+    # One row per check, in frozen order: name, oracle value, whether the
+    # formula needs n >= 2(p + 1), and the formula with any extra
+    # arguments.  Overlapping-but-different tuples exclude each other only
+    # from n = 2(p + 1) on; below that a small host can satisfy both (for
+    # the cherry at n = 4, the star does), so those checks would be
+    # vacuously wrong there.
+    table = (
+        ("tuple_probability", Fraction(g_base, total), False,
+         occurrence_probability),
+        ("mean_count", dist.mean, False, mean_pattern_count),
+        ("pair_disjoint", Fraction(g_disjoint, total), True,
+         pair_occurrence_probability, PairRelation.ALL_DISTINCT),
+        ("pair_same_tuple", Fraction(g_base, total), False,
+         pair_occurrence_probability, PairRelation.SAME_ROOT_SAME_SET),
+        ("pair_overlap_same_root", Fraction(g_same, total), True,
+         pair_occurrence_probability, PairRelation.OTHER),
+        ("pair_overlap_diff_root", Fraction(g_diff, total), True,
+         pair_occurrence_probability, PairRelation.OTHER),
+        ("second_moment", dist.second_moment, True,
+         second_moment_pattern_count),
+        ("zero_probability_bound", dist.p_zero, True, chebyshev_zero_bound),
+    )
     checks: list[FormulaCheck] = []
-
-    def compare(name: str, oracle: Fraction, formula: Fraction,
-                note: str = "") -> None:
-        status = _OK if oracle == formula else _FAIL
-        checks.append(FormulaCheck(name, oracle, formula, status, note))
-
-    def skip(name: str) -> None:
-        checks.append(FormulaCheck(name, None, None, _SKIP,
-                                   f"needs n >= {2 * (p + 1)}"))
-
-    compare("tuple_probability", Fraction(g_base, total),
-            occurrence_probability(pat, n))
-    compare("mean_count", dist.mean, mean_pattern_count(pat, n))
-    if pair_ok:
-        compare("pair_disjoint", Fraction(g_disjoint, total),
-                pair_occurrence_probability(pat, n, PairRelation.ALL_DISTINCT))
-    else:
-        skip("pair_disjoint")
-    compare("pair_same_tuple", Fraction(g_base, total),
-            pair_occurrence_probability(pat, n,
-                                        PairRelation.SAME_ROOT_SAME_SET))
-    if pair_ok:
-        # Overlapping-but-different tuples exclude each other only from
-        # n = 2(p + 1) on; below that a small host can satisfy both (for
-        # the cherry at n = 4, the star does), so the checks would be
-        # vacuously wrong there.
-        compare("pair_overlap_same_root", Fraction(g_same, total),
-                pair_occurrence_probability(pat, n, PairRelation.OTHER))
-        compare("pair_overlap_diff_root", Fraction(g_diff, total),
-                pair_occurrence_probability(pat, n, PairRelation.OTHER))
-    else:
-        skip("pair_overlap_same_root")
-        skip("pair_overlap_diff_root")
-    if pair_ok:
-        compare("second_moment", dist.second_moment,
-                second_moment_pattern_count(pat, n))
-        p_zero = dist.p_zero
-        bound = chebyshev_zero_bound(pat, n)
-        status = _OK if p_zero <= bound else _FAIL
-        checks.append(FormulaCheck("zero_probability_bound", p_zero, bound,
-                                   status, "bound must cover the exact value"))
-    else:
-        skip("second_moment")
-        skip("zero_probability_bound")
+    for name, oracle, paired, formula, *extra in table:
+        if paired and n < least:
+            checks.append(FormulaCheck(name, None, None, _SKIP,
+                                       f"needs n >= {least}"))
+            continue
+        value = formula(pat, n, *extra)
+        bound = name == "zero_probability_bound"
+        ok = oracle <= value if bound else oracle == value
+        checks.append(FormulaCheck(
+            name, oracle, value, _OK if ok else _FAIL,
+            "bound must cover the exact value" if bound else ""))
     return MomentVerification(pat, n, tuple(checks))

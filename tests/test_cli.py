@@ -182,6 +182,18 @@ class TestVerify:
             == cli.VERIFY_FAILURE
         assert "VERIFICATION FAILED" in capsys.readouterr().out
 
+    def test_failure_with_out_still_writes_the_report(self, monkeypatch,
+                                                      tmp_path, capsys):
+        bad = MomentVerification(cherry(), 6, (FormulaCheck(
+            "tuple_probability", Fraction(1), Fraction(2), "fail"),))
+        monkeypatch.setattr(cli, "verify_moments",
+                            lambda *a, **k: bad)
+        out = tmp_path / "report.txt"
+        assert cli.main(["verify", "--pattern", "cherry", "--n", "6",
+                         "--out", str(out)]) == cli.VERIFY_FAILURE
+        assert capsys.readouterr().out == ""
+        assert "VERIFICATION FAILED" in out.read_text()
+
     def test_bad_range_exits_two(self, capsys):
         assert cli.main(["verify", "--pattern", "cherry", "--n-max", "3"]) \
             == cli.INPUT_ERROR
@@ -334,6 +346,28 @@ class TestInputErrors:
         assert_one_line_input_error(rc, captured)
         assert captured.err == "treepatterns: out of memory\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "{f}"],
+        ["count", "--tree", "{f}", "--pattern", "edge"],
+        ["count", "--tree", "{t}", "--pattern", "{f}"],
+    ], ids=["encode", "count-tree", "count-pattern"])
+    def test_non_utf8_file_exits_two(self, argv, tmp_path, capsys):
+        f = tmp_path / "bin.txt"
+        f.write_bytes(b"\xff\n")
+        t = write(tmp_path, "t.txt", path_text(3))
+        rc = cli.main([a.format(f=f, t=t) for a in argv])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == f"treepatterns: {str(f)!r} is not UTF-8 text\n"
+
+    def test_non_utf8_stdin_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff\n"), encoding="utf-8", errors="strict"))
+        rc = cli.main(["decode", "-"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == "treepatterns: stdin is not UTF-8 text\n"
 
 
 class TestUsageErrors:

@@ -131,6 +131,19 @@ def test_output_is_frozen(name, golden, tmp_path, monkeypatch):
     assert run_case(CASES[name]) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, rec in json.loads(GOLDEN.read_text()).items()
+    if rec["exit"] == 0))
+def test_out_file_gets_the_stdout_bytes(name, golden, tmp_path, monkeypatch):
+    write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    got = run_case([*CASES[name], "--out", "o.txt"])
+    assert got["stdout"] == ""
+    assert (tmp_path / "o.txt").read_bytes() \
+        == golden[name]["stdout"].encode("utf-8")
+    assert got["exit"] == golden[name]["exit"]
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         write_files(Path(tmp))
