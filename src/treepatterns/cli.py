@@ -69,12 +69,15 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except UnicodeDecodeError:
         where = "stdin" if path == "-" else repr(path)
         raise FormatError(f"{where} is not UTF-8 text") from None
+    # Some editors start UTF-8 files with a byte-order mark; it is not data.
+    return text.removeprefix("\ufeff")
 
 
 def _load_tree(path: str):

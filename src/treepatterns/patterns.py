@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -168,7 +167,6 @@ def _occurrence_finder(n: int, pats):
         size = [1] * (n + 1)
         key = [0] * (n + 1)
         hits: list[tuple[int, int, int]] = []
-        cuts = []
         for v in order:
             s = size[v]
             pv = parent[v]
@@ -179,14 +177,15 @@ def _occurrence_finder(n: int, pats):
                 for i, pid in near[s]:
                     if h == pid:
                         hits.append((i, v, pv))
-            if s >= low:
-                cuts.append(v)
         # The root's side of v's edge, rooted at v's parent, is coded down
         # the path from the root: each path vertex keeps its key but the
         # path child's weight, and gains the weight of the part above it.
-        # The side has at most top vertices, so the path does too.
-        for v in cuts:
-            group = near[n - size[v]]
+        # The side has at most top vertices, so the path does too.  Such a
+        # cut v has size at least n - top and follows all its descendants,
+        # so at most top - 1 of the other n - 1 listed vertices come after
+        # it: every cut is among the last top entries of the order.
+        for v in order[-top:] if top else ():
+            group = near[n - size[v]] if size[v] >= low else ()
             if not group:
                 continue
             path = [v]
@@ -225,6 +224,8 @@ def _fan_out(job, args, count: int, workers: int) -> Counter:
     k = _worker_count(workers, count)
     if k == 1:
         return job(args, 0, count)
+    # Imported here, so that a one-process run never loads the pool modules.
+    from concurrent.futures import ProcessPoolExecutor
     bounds = [count * i // k for i in range(k + 1)]
     total: Counter = Counter()
     with ProcessPoolExecutor(max_workers=k) as pool:

@@ -39,12 +39,12 @@ class Tree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists indexed by vertex; index 0 is unused."""
+        """Neighbor lists in no set order, indexed by vertex; 0 is unused."""
         nbr: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in self.edges:
             nbr[u].append(v)
             nbr[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbr)
+        return tuple(map(tuple, nbr))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -275,13 +275,7 @@ def rootify(t: Tree) -> RootedTree:
         return RootedTree(t, c.vertex)
     u, w = c.vertices
     m = t.n + 1
-    sub = Tree(m, t.edges - {(u, w)} | {(u, m), (w, m)})
-    # Seed sub's neighbor lists from t's: m sorts last, so none is resorted.
-    adj = list(t.adjacency)
-    adj[u] = tuple(x for x in adj[u] if x != w) + (m,)
-    adj[w] = tuple(x for x in adj[w] if x != u) + (m,)
-    sub.__dict__["adjacency"] = tuple(adj) + ((u, w),)
-    return RootedTree(sub, m)
+    return RootedTree(Tree(m, t.edges - {(u, w)} | {(u, m), (w, m)}), m)
 
 
 def _data_lines(text: str) -> list[str]:

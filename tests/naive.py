@@ -171,15 +171,19 @@ def naive_is_occurrence(t: Tree, root: int, others, pat) -> bool:
     return False
 
 
-def naive_count(t: Tree, pat) -> int:
+def naive_occurrences(t: Tree, pat) -> list[tuple[int, tuple[int, ...]]]:
     """Try every root and every p-subset of the remaining vertices."""
-    total = 0
+    found = []
     for root in range(1, t.n + 1):
         rest = [v for v in range(1, t.n + 1) if v != root]
         for others in combinations(rest, pat.p):
             if naive_is_occurrence(t, root, others, pat):
-                total += 1
-    return total
+                found.append((root, others))
+    return found
+
+
+def naive_count(t: Tree, pat) -> int:
+    return len(naive_occurrences(t, pat))
 
 
 @st.composite

@@ -64,6 +64,21 @@ class TestGenEncodeDecode:
         assert cli.main(["encode"]) == 0
         assert capsys.readouterr().out == "n 3\n2\n"
 
+    def test_encode_ignores_a_byte_order_mark_in_a_file(self, tmp_path,
+                                                         capsys):
+        f = tmp_path / "bom.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + path_text(3).encode())
+        assert cli.main(["encode", str(f)]) == 0
+        assert capsys.readouterr().out == "n 3\n2\n"
+
+    def test_encode_ignores_a_byte_order_mark_on_stdin(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xef\xbb\xbf" + path_text(3).encode()),
+            encoding="utf-8", errors="strict"))
+        assert cli.main(["encode", "-"]) == 0
+        assert capsys.readouterr().out == "n 3\n2\n"
+
     def test_decode_writes_stdout(self, tmp_path, capsys):
         f = write(tmp_path, "s.txt", "n 4\n1 1\n")
         assert cli.main(["decode", f]) == 0
@@ -427,6 +442,22 @@ class TestConsoleScript:
             cwd=tmp_path, env=child_env(), capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert tree_from_text((tmp_path / "t.txt").read_text()).n == 6
+
+
+def test_cli_import_loads_no_pool_modules():
+    # A one-process run, which every default CLI call is, starts no pool,
+    # so importing the command line must not load the pool modules.
+    probe = "import sys; {}print('concurrent.futures' in sys.modules)"
+
+    def loaded(imports):
+        run = subprocess.run([sys.executable, "-c", probe.format(imports)],
+                             env=child_env(), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.strip() == "True"
+
+    if loaded(""):
+        pytest.skip("the bare interpreter already loads concurrent.futures")
+    assert not loaded("import treepatterns.cli; ")
 
 
 MC_RUN = ["mc", "--pattern", "cherry", "--n", "40", "--samples", "60",

@@ -1,5 +1,6 @@
 """Exhaustive enumeration: tree sweeps, exact distributions, formula checks."""
 
+import concurrent.futures
 import os
 from collections import Counter
 from fractions import Fraction
@@ -118,7 +119,7 @@ class TestExactDistribution:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-part sweep started a process pool")
 
-        monkeypatch.setattr(patterns, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         d = exact_pattern_distribution(2, rooted_edge(), workers=3)
         assert d.total == 1
         assert d.histogram == {0: 1}
@@ -241,7 +242,7 @@ def in_process_pool(monkeypatch):
             parts.extend(zip(los, his))
             return map(fn, args, los, his)
 
-    monkeypatch.setattr(patterns, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return parts
 
 
@@ -342,7 +343,7 @@ class TestVerifyMoments:
         def no_pool(*args, **kwargs):
             raise AssertionError("a sweep with n <= 6 started a process pool")
 
-        monkeypatch.setattr(patterns, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert verify_moments(rooted_edge(), n, workers=2).all_passed
 
     def test_pooled_sweeps_match_serial_from_seven(self):

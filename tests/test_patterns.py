@@ -3,6 +3,8 @@ the worker clamp of the shared sweep."""
 
 import os
 import tracemalloc
+from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
@@ -18,6 +20,7 @@ from treepatterns import (
     build_tree,
     cherry,
     count_patterns,
+    exact_pattern_distributions,
     find_patterns,
     is_pattern,
     path_pattern_end,
@@ -282,6 +285,80 @@ class TestCountingCore:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@cache
+def labelled_trees(n):
+    return list(naive.all_trees(n))
+
+
+@cache
+def naive_occurrences(n, name):
+    pat = pattern_from_name(name)
+    return [naive.naive_occurrences(t, pat) for t in labelled_trees(n)]
+
+
+def check_against_naive(n, names):
+    """count_patterns on every labelled tree with n vertices, and one
+    exact_pattern_distributions sweep of all the names, against the naive
+    count."""
+    pats = [pattern_from_name(name) for name in names]
+    want = []
+    for name, pat in zip(names, pats):
+        counts = [len(occs) for occs in naive_occurrences(n, name)]
+        assert [count_patterns(t, pat) for t in labelled_trees(n)] == counts
+        want.append(dict(Counter(counts)))
+    assert [d.histogram for d in exact_pattern_distributions(n, pats)] == want
+
+
+class SlicedOrder(list):
+    """A child-first order that records the slices taken of it."""
+
+    def __init__(self, order):
+        super().__init__(order)
+        self.taken = []
+
+    def __getitem__(self, i):
+        self.taken.append(i)
+        return super().__getitem__(i)
+
+
+class TestTailCutScan:
+    # The root side of a cut holds at most top vertices, top the largest
+    # pattern size below n, so find looks for cuts among the last top
+    # entries of the order only.
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_no_pattern_below_n_scans_nothing(self, n):
+        # top = 0, where order[-top:] would be the whole order.
+        names = [f"path{n + 1}@end", f"star{n}"]
+        check_against_naive(n, names)
+        order, parent = _decode([1] * (n - 2), n)
+        order = SlicedOrder(order)
+        find = _occurrence_finder(n, [pattern_from_name(x) for x in names])
+        assert find(order, parent) == []
+        assert order.taken == []
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_top_longer_than_the_order(self, n):
+        # p = n - 1 sets top = n, one more than the n - 1 listed vertices;
+        # the edge still finds its occurrences on both sides of each cut.
+        check_against_naive(n, [f"path{n}@end", "edge"])
+
+    @pytest.mark.parametrize("name, n", [("edge", n) for n in range(5, 8)]
+                             + [("cherry", n) for n in range(4, 7)])
+    def test_occurrences_only_on_vertex_ns_side(self, name, n):
+        # Trees whose every occurrence holds vertex n: only the tail scan
+        # finds them, on a walk's order (count_patterns, checked on every
+        # tree) and on the decoder's.
+        check_against_naive(n, [name])
+        pat = pattern_from_name(name)
+        seen = 0
+        for t, occs in zip(labelled_trees(n), naive_occurrences(n, name)):
+            if occs and all(n in (root, *others) for root, others in occs):
+                seen += 1
+                assert decoded_count(t, pat) == len(occs)
+        assert seen
 
 
 class TestBuiltinNames:

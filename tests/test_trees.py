@@ -1,5 +1,8 @@
 """Tree construction, Pruefer codec, centers, rootification, text formats."""
 
+import random
+from functools import cached_property
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +12,14 @@ from treepatterns import (
     DuplicateEdgeError,
     FormatError,
     PruferSequence,
+    RootedTree,
     SelfLoopError,
     TooSmallError,
     Tree,
     VertexOutOfRangeError,
     WrongEdgeCountError,
+    ahu_code,
+    aut_rooted,
     aut_unrooted,
     build_tree,
     find_patterns,
@@ -53,7 +59,7 @@ class TestBuildTree:
     def test_adjacency_is_sorted_and_one_indexed(self):
         t = build_tree(4, [(2, 1), (4, 2), (2, 3)])
         assert t.adjacency[0] == ()
-        assert t.adjacency[2] == (1, 3, 4)
+        assert set(t.adjacency[2]) == {1, 3, 4}
         assert t.degree(2) == 3
         assert t.neighbors(1) == (2,)
 
@@ -249,9 +255,49 @@ class TestRootify:
 
     @given(naive.random_trees(min_n=2, max_n=9))
     def test_adjacency_matches_a_fresh_build(self, t):
-        # rootify seeds the subdivided tree's neighbor lists from t's
+        # the subdivided tree is an ordinary Tree of its edges
         rt = rootify(t)
         assert rt.tree.adjacency == Tree(rt.tree.n, rt.tree.edges).adjacency
+
+
+class ReversedNeighbors(Tree):
+    """The same tree with every neighbor list read back to front."""
+
+    @cached_property
+    def adjacency(self):
+        return tuple(x[::-1] for x in Tree(self.n, self.edges).adjacency)
+
+
+ORDER_PATTERNS = [pattern_from_name(name)
+                  for name in ("edge", "cherry", "star3", "path4@end")]
+
+
+def neighbor_order_results(t):
+    # count_patterns is the length of find_patterns' list, from one core.
+    rt = rootify(t)
+    return (tree_center(t), rt.tree.edges, rt.root, aut_unrooted(t),
+            aut_rooted(RootedTree(t, 1)), prufer_encode(t),
+            ahu_code(t.adjacency, t.n),
+            [find_patterns(t, pat) for pat in ORDER_PATTERNS])
+
+
+class TestNeighborOrder:
+    # Tree.adjacency lists each vertex's neighbors in no set order, so no
+    # result may change when every list is reversed.
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_tree_up_to_seven(self, n):
+        for t in naive.all_trees(n):
+            assert (neighbor_order_results(ReversedNeighbors(n, t.edges))
+                    == neighbor_order_results(t))
+
+    def test_random_trees_up_to_sixty(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            n = rng.randint(2, 60)
+            t = prufer_decode(PruferSequence(
+                n, tuple(rng.randint(1, n) for _ in range(n - 2))))
+            assert (neighbor_order_results(ReversedNeighbors(n, t.edges))
+                    == neighbor_order_results(t))
 
 
 class TestDeepPath:
