@@ -10,6 +10,7 @@ from .errors import (
     FormatError,
     IndexOutOfRangeError,
     SampleCountError,
+    SamplerRangeError,
     SelfLoopError,
     TooSmallError,
     TreePatternError,

@@ -45,6 +45,10 @@ class SampleCountError(TreePatternError, ValueError):
     """A Monte Carlo run was asked for fewer than one sample."""
 
 
+class SamplerRangeError(TreePatternError, ValueError):
+    """The sampler was asked to draw from 1..n with n outside 1..2**64."""
+
+
 class CapExceededError(TreePatternError):
     """A request exceeds a size limit: the exhaustive enumeration cap, or
     the digit ceiling of the exact moment formulas."""

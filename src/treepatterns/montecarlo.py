@@ -6,6 +6,10 @@ samples are split across workers, and a fixed seed reproduces the same
 tallies on any platform.  Uniform draws in 1..n use rejection, never a
 bare modulus.
 
+One job tallies per-pattern counts for Monte Carlo and for the exact
+distributions of the exhaustive oracle.  The oracle's moment check keeps
+its own job, because it also checks fixed tuples on the decoded edges.
+
 `RandomStream.randints` mixes a Pruefer sequence's draws together: it
 packs the SplitMix64 states, up to 4096 at a time, into 128-bit lanes of
 one Python int and runs the finalizer on the whole int, masking each
@@ -25,11 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainTooSmallError, SampleCountError, TooSmallError
+from .errors import (
+    DomainTooSmallError,
+    SampleCountError,
+    SamplerRangeError,
+    TooSmallError,
+)
 from .isomorphism import RootedPattern
 from .moments import _moments, _zero_bound, mean_pattern_count, rational_str
 from .patterns import _fan_out, _occurrence_finder
-from .trees import PruferSequence, Tree, _decode, prufer_decode
+from .trees import PruferSequence, Tree, _decode, _sequences, prufer_decode
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -101,7 +110,7 @@ class RandomStream:
 
 def _check_range(n: int) -> None:
     if not 1 <= n <= 1 << 64:
-        raise ValueError(f"n must be in 1..2**64, got {n}")
+        raise SamplerRangeError(f"n must be in 1..2**64, got {n}")
 
 
 @lru_cache(maxsize=4)
@@ -202,14 +211,30 @@ class McEstimate:
         }
 
 
-def _tally_job(args, lo: int, hi: int):
-    # Same draws, decoder and counting core as sample_tree + count_patterns,
-    # minus the per-sample Tree object; the equivalence is under test.
-    n, seed, pat = args
-    find = _occurrence_finder(n, [pat])
-    return Counter(
-        len(find(*_decode(stream_for(seed, k).randints(n - 2, n), n)))
-        for k in range(lo, hi))
+def _count_job(args, lo: int, hi: int) -> Counter:
+    """Tally per-pattern count tuples over runs lo..hi - 1: run k is Pruefer
+    sequence k in lexicographic order if seed is None, else the draws of
+    stream_for(seed, k), decoded and counted as sample_tree + count_patterns
+    would, minus the Tree object; the equivalence is under test."""
+    n, pats, seed = args
+    find = _occurrence_finder(n, pats)
+    draws = (stream_for(seed, k).randints(n - 2, n) for k in range(lo, hi))
+    seqs = _sequences(n, lo, hi) if seed is None else draws
+
+    def outcome(seq):
+        counts = [0] * len(pats)
+        for i, _, _ in find(*_decode(seq, n)):
+            counts[i] += 1
+        return tuple(counts)
+
+    return Counter(map(outcome, seqs))
+
+
+def _marginal(tally: Counter, i: int) -> dict[int, int]:
+    out: Counter = Counter()
+    for key, c in tally.items():
+        out[key[i]] += c
+    return dict(out)
 
 
 def _check_run(pat: RootedPattern, n: int, samples: int) -> None:
@@ -218,6 +243,7 @@ def _check_run(pat: RootedPattern, n: int, samples: int) -> None:
             f"host tree needs at least p + 1 = {pat.p + 1} vertices")
     if samples < 1:
         raise SampleCountError(f"samples must be positive, got {samples}")
+    _check_range(n)
 
 
 def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
@@ -228,8 +254,9 @@ def estimate_pattern_stats(pat: RootedPattern, n: int, samples: int,
     bit-identical for any worker count.
     """
     _check_run(pat, n, samples)
-    hist = _fan_out(_tally_job, (n, seed, pat), samples, workers)
-    return McEstimate(n, samples, seed, samples - hist[0],
+    tally = _fan_out(_count_job, (n, [pat], seed), samples, workers)
+    hist = _marginal(tally, 0)
+    return McEstimate(n, samples, seed, samples - hist.get(0, 0),
                       sum(c * k for c, k in hist.items()),
                       sum(c * c * k for c, k in hist.items()))
 

@@ -4,13 +4,15 @@ Every labelled tree on n vertices is visited exactly once by decoding all
 n**(n-2) Pruefer sequences.  On top of that sweep sit the exact occurrence
 count distribution, a check of the labelled rooted count p!/aut against
 direct enumeration, and per-formula comparisons of the exact moments with
-exhaustive averages.  Each sequence is decoded by trees._decode, the
-counting core reads the removal order it returns, and the fixed tuples
-are checked on the decoded edges.  The sequences are numbered in
-lexicographic order, and a sweep split across processes hands each one a
-contiguous range of those numbers, as Monte Carlo does with its sample
-indices.  Enumeration refuses to run past a small cap: the tree count
-explodes, and the cap keeps mistakes cheap.
+exhaustive averages.  Each sequence is decoded by trees._decode and
+counted on the removal order it returns.  The distributions come from
+Monte Carlo's tally job, run on the sequences instead of seeded draws;
+the moment check keeps its own job, because it also checks fixed tuples
+on the decoded edges.  The sequences are numbered in lexicographic
+order, and a sweep split across processes hands each one a contiguous
+range of those numbers, as Monte Carlo does with its sample indices.
+Enumeration refuses to run past a small cap: the tree count explodes,
+and the cap keeps mistakes cheap.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError, TooSmallError
@@ -31,8 +32,9 @@ from .moments import (
     pair_occurrence_probability,
     second_moment_pattern_count,
 )
+from .montecarlo import _count_job, _marginal
 from .patterns import _fan_out, _is_occurrence, _occurrence_finder
-from .trees import Tree, _decode, _tree_from_order
+from .trees import Tree, _decode, _sequences, _tree_from_order
 
 DEFAULT_CAP = 9
 HARD_CAP = 10
@@ -58,11 +60,6 @@ def _sweep_all(job, args, n: int, workers: int) -> Counter:
     # edge at n = 3..6 took 0.007 s here, 0.028 s with two workers (best
     # of 5, 2-core VM).  No pool is kept: peak RSS must count its workers.
     return _fan_out(job, args, n ** (n - 2), workers if n > 6 else 1)
-
-
-def _sequences(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    # Sequences lo..hi - 1 of all n**(n - 2) in lexicographic order.
-    return islice(product(range(1, n + 1), repeat=n - 2), lo, hi)
 
 
 def iter_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
@@ -114,32 +111,12 @@ class ExactDistribution:
                         self.total)
 
 
-def _marginal(tally: Counter, i: int) -> dict[int, int]:
-    out: Counter = Counter()
-    for key, c in tally.items():
-        out[key[i]] += c
-    return dict(out)
-
-
-def _counts_job(args, lo: int, hi: int) -> Counter:
-    n, pats = args
-    find = _occurrence_finder(n, pats)
-
-    def outcome(seq):
-        counts = [0] * len(pats)
-        for i, _, _ in find(*_decode(seq, n)):
-            counts[i] += 1
-        return tuple(counts)
-
-    return Counter(map(outcome, _sequences(n, lo, hi)))
-
-
 def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
                                 cap: int = DEFAULT_CAP,
                                 workers: int = 1) -> list[ExactDistribution]:
     """Exact count distributions for several patterns in one sweep."""
     _check_cap(n, cap)
-    tally = _sweep_all(_counts_job, (n, pats), n, workers)
+    tally = _sweep_all(_count_job, (n, pats, None), n, workers)
     total = n ** (n - 2)
     return [ExactDistribution(n, pat, _marginal(tally, i), total)
             for i, pat in enumerate(pats)]

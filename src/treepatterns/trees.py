@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -131,6 +132,11 @@ def build_tree(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     if reached != n:
         raise DisconnectedError(f"only {reached} of {n} vertices reachable")
     return t
+
+
+def _sequences(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    # Sequences lo..hi - 1 of all n**(n - 2) in lexicographic order.
+    return islice(product(range(1, n + 1), repeat=n - 2), lo, hi)
 
 
 def _decode(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:

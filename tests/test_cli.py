@@ -1,5 +1,6 @@
 """Command line behavior: outputs, formats, exit codes."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -329,6 +330,31 @@ class TestInputErrors:
         assert_one_line_input_error(rc, captured)
         assert captured.err == ("treepatterns: mean pattern count needs "
                                 "n >= 4, got n = -5\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "{n}"],
+        ["mc", "--pattern", "edge", "--n", "{n}", "--samples", "1",
+         "--workers", "1"],
+        ["mc", "--pattern", "edge", "--n", "{n}", "--samples", "1",
+         "--workers", "2"],
+        ["converge", "--pattern", "edge", "--n-list", "10,{n}",
+         "--samples", "1"],
+    ], ids=["gen", "mc-w1", "mc-w2", "converge"])
+    def test_n_past_the_sampler_range_exits_two(self, capsys, monkeypatch,
+                                               argv):
+        # The sampler draws from 1..n only for n <= 2**64; mc and converge
+        # refuse a larger n before the first sample or pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        n = "100000000000000000000000"
+        rc = cli.main([a.format(n=n) for a in argv] + ["--seed", "1"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == ("treepatterns: n must be in 1..2**64, "
+                                f"got {n}\n")
 
     def test_moments_past_the_digit_ceiling_exit_two_at_once(self, capsys):
         start = time.perf_counter()

@@ -29,7 +29,7 @@ from treepatterns import (
     stream_for,
 )
 from treepatterns import montecarlo
-from treepatterns.montecarlo import CSV_HEADER, _wilson
+from treepatterns.montecarlo import CSV_HEADER, _count_job, _wilson
 
 
 class TestRandomStream:
@@ -201,6 +201,27 @@ class TestEstimatePatternStats:
                 s2 += c * c
         e = estimate_pattern_stats(pat, n, samples, seed)
         assert (e.hits_ge1, e.sum_count, e.sum_count_sq) == (hits, s1, s2)
+
+    def test_seeded_tally_of_several_patterns(self):
+        # One seeded pass over four patterns of different sizes: the joint
+        # tally is that of the public path, each pattern's marginal is its
+        # own estimate's tallies, and two parts add up to the whole.
+        pats = [pattern_from_name(name)
+                for name in ["edge", "cherry", "star3", "path4@end"]]
+        n, samples, seed = 40, 300, 7
+        joint = _count_job((n, pats, seed), 0, samples)
+        assert joint == Counter(
+            tuple(count_patterns(sample_tree(n, stream_for(seed, k)), pat)
+                  for pat in pats)
+            for k in range(samples))
+        for i, pat in enumerate(pats):
+            e = estimate_pattern_stats(pat, n, samples, seed)
+            assert (e.hits_ge1, e.sum_count, e.sum_count_sq) == (
+                sum(c for key, c in joint.items() if key[i]),
+                sum(key[i] * c for key, c in joint.items()),
+                sum(key[i] ** 2 * c for key, c in joint.items()))
+        assert (_count_job((n, pats, seed), 0, 150)
+                + _count_job((n, pats, seed), 150, samples)) == joint
 
     def test_agrees_with_the_exact_distribution(self):
         # 100000 samples at n = 7: both the hit rate and the mean must

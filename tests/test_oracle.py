@@ -26,10 +26,10 @@ from treepatterns import (
     verify_moments,
 )
 from treepatterns import patterns
+from treepatterns.montecarlo import _count_job
 from treepatterns.oracle import (
     ExactDistribution,
     FormulaCheck,
-    _counts_job,
     _fixed_tuples,
     _moment_job,
 )
@@ -155,7 +155,7 @@ class TestMixedSizeCounts:
 
     def joint(self, n):
         pats = [pattern_from_name(name) for name in self.NAMES]
-        return _counts_job((n, pats), 0, n ** (n - 2))
+        return _count_job((n, pats, None), 0, n ** (n - 2))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_joint_histogram_matches_the_naive_count(self, n):
