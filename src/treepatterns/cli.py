@@ -21,7 +21,7 @@ from .isomorphism import (
     aut_unrooted,
     pattern_from_text,
 )
-from .moments import moment_report, rational_str
+from .moments import EXACT_FIELDS, moment_report, rational_str
 from .montecarlo import (
     convergence_csv,
     convergence_experiment,
@@ -153,14 +153,11 @@ def _cmd_moments(args) -> tuple[str, int]:
         f"n                    {rep.n}",
         f"p                    {rep.p}",
         f"aut_root_order       {rep.aut_root_order}",
-        f"mean                 {d['mean']} ({d['mean_float']:.6g})",
-        f"second_moment        {d['second_moment']} "
-        f"({d['second_moment_float']:.6g})",
-        f"variance             {d['variance']} ({d['variance_float']:.6g})",
-        f"chebyshev_zero_bound {d['chebyshev_zero_bound']} "
-        f"({d['chebyshev_zero_bound_float']:.6g})",
+        *(f"{k:<21}{d[k]} ({d[k + '_float']:.6g})" for k in EXACT_FIELDS),
         f"asymptotic_slope     {rep.asymptotic_slope:.10g}",
     ]), 0
+
+
 def _fmt_opt(q) -> str:
     return rational_str(q) if q is not None else "-"
 
@@ -171,15 +168,15 @@ def _cmd_verify(args) -> tuple[str, int]:
         ns = [args.n]
     else:
         n_max = args.n_max if args.n_max is not None else pat.p + 2
-        ns = list(range(pat.p + 2, n_max + 1))
+        ns = range(pat.p + 2, n_max + 1)
         if not ns:
             raise TreePatternError(
                 f"--n-max {n_max} is below the first verifiable n = "
                 f"{pat.p + 2}")
-    # Every n is checked before the first sweep, so an out-of-range --n or
-    # --n-max fails at once instead of after the other sweeps.
-    _check_cap(max(ns), args.cap)
-    _check_verifiable(pat, min(ns))
+    # Both ends of the range are checked before the first sweep, so an
+    # out-of-range --n or --n-max fails at once, without listing every n.
+    _check_cap(ns[-1], args.cap)
+    _check_verifiable(pat, ns[0])
     lc = verify_labelled_count(pat)
     results = [verify_moments(pat, n, cap=args.cap, workers=args.workers)
                for n in ns]
@@ -273,6 +270,18 @@ def _cmd_converge(args) -> tuple[str, int]:
     return _lines(lines), 0
 
 
+# Options that several commands take, each declared once.  A command
+# lists the ones it takes, in the order its --help shows them.
+_TREE = "--tree", dict(required=True, metavar="FILE")
+_PATTERN = "--pattern", dict(required=True, metavar="FILE|NAME",
+                             help=BUILTIN_PATTERN_HELP)
+_N = "--n", dict(type=int, required=True)
+_SAMPLES = "--samples", dict(type=int, required=True)
+_SEED = "--seed", dict(type=int, required=True)
+_WORKERS = "--workers", dict(type=int, default=1)
+_JSON = "--json", dict(action="store_true")
+
+
 @functools.cache  # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -280,16 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pattern statistics of uniform random labelled trees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def take(sp, *shared):
+        for flag, spec in shared:
+            sp.add_argument(flag, **spec)
+
+    def add(name, func, help_text, *shared):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--out", default=None, metavar="FILE",
                         help="write output here instead of stdout")
+        take(sp, *shared)
         return sp
 
-    sp = add("gen", _cmd_gen, "sample a uniform random tree")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    add("gen", _cmd_gen, "sample a uniform random tree", _N, _SEED)
 
     sp = add("encode", _cmd_encode, "tree file to Pruefer sequence")
     sp.add_argument("file", nargs="?", default="-",
@@ -299,31 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", nargs="?", default="-",
                     help="sequence file, '-' for stdin")
 
-    sp = add("count", _cmd_count, "count pattern occurrences in a tree")
-    sp.add_argument("--tree", required=True, metavar="FILE")
-    sp.add_argument("--pattern", required=True,
-                    metavar="FILE|NAME", help=BUILTIN_PATTERN_HELP)
-    sp.add_argument("--json", action="store_true")
+    add("count", _cmd_count, "count pattern occurrences in a tree",
+        _TREE, _PATTERN, _JSON)
 
-    sp = add("aut", _cmd_aut, "automorphism group order of a tree")
-    sp.add_argument("--tree", required=True, metavar="FILE")
+    sp = add("aut", _cmd_aut, "automorphism group order of a tree", _TREE)
     sp.add_argument("--root", type=int, default=None,
                     help="count only root-fixing automorphisms")
 
-    sp = add("center", _cmd_center, "center vertex or edge of a tree")
-    sp.add_argument("--tree", required=True, metavar="FILE")
-
-    sp = add("rootify", _cmd_rootify, "root a tree at its center")
-    sp.add_argument("--tree", required=True, metavar="FILE")
-
-    sp = add("moments", _cmd_moments, "exact moment report for a pattern")
-    sp.add_argument("--pattern", required=True, metavar="FILE|NAME")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
+    add("center", _cmd_center, "center vertex or edge of a tree", _TREE)
+    add("rootify", _cmd_rootify, "root a tree at its center", _TREE)
+    add("moments", _cmd_moments, "exact moment report for a pattern",
+        _PATTERN, _N, _JSON)
 
     sp = add("verify", _cmd_verify,
-             "compare formulas against exhaustive enumeration")
-    sp.add_argument("--pattern", required=True, metavar="FILE|NAME")
+             "compare formulas against exhaustive enumeration", _PATTERN)
     one_or_all = sp.add_mutually_exclusive_group()
     one_or_all.add_argument("--n", type=int, default=None,
                             help="verify a single n")
@@ -331,24 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
                             help="verify every n from p + 2 up to this")
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
                     help="enumeration cap (hard limit 10)")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--json", action="store_true")
+    take(sp, _WORKERS, _JSON)
 
-    sp = add("mc", _cmd_mc, "Monte Carlo estimate for one n")
-    sp.add_argument("--pattern", required=True, metavar="FILE|NAME")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--json", action="store_true")
+    add("mc", _cmd_mc, "Monte Carlo estimate for one n", _PATTERN, _N,
+        _SAMPLES, _SEED, _WORKERS, _JSON)
 
     sp = add("converge", _cmd_converge,
-             "Monte Carlo containment across several n")
-    sp.add_argument("--pattern", required=True, metavar="FILE|NAME")
+             "Monte Carlo containment across several n", _PATTERN)
     sp.add_argument("--n-list", required=True, metavar="A,B,C")
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--workers", type=int, default=1)
+    take(sp, _SAMPLES, _SEED, _WORKERS)
     sp.add_argument("--csv", action="store_true")
 
     return parser

@@ -135,6 +135,11 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# The report's exact fields, in report order; each is written as 'num/den'
+# and followed by its float view.
+EXACT_FIELDS = ("mean", "second_moment", "variance", "chebyshev_zero_bound")
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Exact moment summary for one pattern at one n (n >= 2(p + 1))."""
@@ -150,20 +155,13 @@ class MomentReport:
 
     def to_dict(self) -> dict:
         """Flat record; rationals as 'num/den' strings plus float views."""
-        return {
-            "n": self.n,
-            "p": self.p,
-            "aut_root_order": self.aut_root_order,
-            "mean": rational_str(self.mean),
-            "mean_float": float(self.mean),
-            "second_moment": rational_str(self.second_moment),
-            "second_moment_float": float(self.second_moment),
-            "variance": rational_str(self.variance),
-            "variance_float": float(self.variance),
-            "chebyshev_zero_bound": rational_str(self.chebyshev_zero_bound),
-            "chebyshev_zero_bound_float": float(self.chebyshev_zero_bound),
-            "asymptotic_slope": self.asymptotic_slope,
-        }
+        d = {"n": self.n, "p": self.p, "aut_root_order": self.aut_root_order}
+        for k in EXACT_FIELDS:
+            q = getattr(self, k)
+            d[k] = rational_str(q)
+            d[k + "_float"] = float(q)
+        d["asymptotic_slope"] = self.asymptotic_slope
+        return d
 
 
 def moment_report(pat: RootedPattern, n: int) -> MomentReport:

@@ -204,11 +204,7 @@ def _fixed_tuples(p: int) -> dict[str, tuple[int, frozenset[int]]]:
 def _moment_job(args, lo: int, hi: int) -> Counter:
     # Outcome key: the four fixed-tuple indicators, then the count.
     n, pat = args
-    tup = _fixed_tuples(pat.p)
-    r1, o1 = tup["base"]
-    rd, od = tup["disjoint"]
-    rs, os_ = tup["overlap_same_root"]
-    ro, oo = tup["overlap_diff_root"]
+    (r1, o1), *rest = _fixed_tuples(pat.p).values()
     find = _occurrence_finder(n, [pat])
     # The pairs (v, parent[v]) for v < n: the edges, and (0, 0).  Below
     # n = 2(p + 1) the disjoint tuple holds a label above n, so it has
@@ -220,9 +216,8 @@ def _moment_job(args, lo: int, hi: int) -> Counter:
         count = len(find(order, parent))
         if not _is_occurrence(zip(child, parent), r1, o1, pat):
             return False, False, False, False, count
-        return (True, _is_occurrence(zip(child, parent), rd, od, pat),
-                _is_occurrence(zip(child, parent), rs, os_, pat),
-                _is_occurrence(zip(child, parent), ro, oo, pat), count)
+        return (True, *[_is_occurrence(zip(child, parent), r, o, pat)
+                        for r, o in rest], count)
 
     return Counter(map(outcome, _sequences(n, lo, hi)))
 

@@ -149,18 +149,19 @@ def _occurrence_finder(n: int, pats):
     per occurrence.  IDs are computed only for subtrees of at most top
     vertices, the largest pattern size.
     """
+    # A pattern with more than n vertices never occurs, so it gets no IDs.
     # A shape missing from the table gets ID -1, so its weight is that of
     # the last ID.  Shapes are numbered after their children, so no shape
     # has the last one as a child: nothing above a missing shape matches.
-    table, weight, ids = _shape_table(pats, n + 1)
+    fit = [(i, pat) for i, pat in enumerate(pats) if pat.p < n]
+    table, weight, ids = _shape_table([pat for _, pat in fit], n + 1)
     get = table.get
-    top = max([pat.p + 1 for pat in pats if pat.p < n] or [0])
+    top = max([pat.p + 1 for _, pat in fit] or [0])
     low = n - top
     # near[s]: (pattern index, ID) pairs of the patterns with s vertices.
     near: list[tuple[tuple[int, int], ...]] = [()] * (top + 1)
-    for i, (pat, pid) in enumerate(zip(pats, ids)):
-        if pat.p < n:
-            near[pat.p + 1] += ((i, pid),)
+    for (i, pat), pid in zip(fit, ids):
+        near[pat.p + 1] += ((i, pid),)
 
     def find(order, parent) -> list[tuple[int, int, int]]:
         # A vertex's subtree is complete when the order reaches it.
@@ -255,10 +256,13 @@ def find_patterns(t: Tree, pat: RootedPattern) -> list[PatternOccurrence]:
     return hits
 
 
+def _rooted_pattern(k: int, edges, root: int) -> RootedPattern:
+    return RootedPattern.from_rooted_tree(RootedTree(build_tree(k, edges), root))
+
+
 def rooted_edge() -> RootedPattern:
     """Single edge rooted at one end (p = 1)."""
-    return RootedPattern.from_rooted_tree(
-        RootedTree(build_tree(2, [(1, 2)]), 1))
+    return path_pattern_end(2)
 
 
 def cherry() -> RootedPattern:
@@ -270,55 +274,48 @@ def star_pattern(k: int) -> RootedPattern:
     """k leaves attached to the root (p = k)."""
     if k < 1:
         raise FormatError("star needs at least one leaf")
-    edges = [(1, i) for i in range(2, k + 2)]
-    return RootedPattern.from_rooted_tree(RootedTree(build_tree(k + 1, edges), 1))
+    return _rooted_pattern(k + 1, [(1, i) for i in range(2, k + 2)], 1)
 
 
 def path_pattern_end(k: int) -> RootedPattern:
     """Path on k vertices rooted at an end (p = k - 1)."""
     if k < 2:
         raise FormatError("path needs at least two vertices")
-    edges = [(i, i + 1) for i in range(1, k)]
-    return RootedPattern.from_rooted_tree(RootedTree(build_tree(k, edges), 1))
+    return _rooted_pattern(k, [(i, i + 1) for i in range(1, k)], 1)
 
 
 def path_pattern_mid(k: int) -> RootedPattern:
     """Path on k vertices rooted at the middle; k must be odd."""
     if k < 3 or k % 2 == 0:
         raise FormatError("midpoint-rooted path needs an odd k >= 3")
-    edges = [(i, i + 1) for i in range(1, k)]
-    return RootedPattern.from_rooted_tree(
-        RootedTree(build_tree(k, edges), (k + 1) // 2))
+    return _rooted_pattern(k, [(i, i + 1) for i in range(1, k)], (k + 1) // 2)
 
 
 BUILTIN_PATTERN_HELP = (
     "cherry | edge | star<k> | path<k>@end | path<k>@mid (odd k)"
 )
 
-_STAR_RE = re.compile(r"star(\d+)$")
-_PATH_RE = re.compile(r"path(\d+)@(end|mid)$")
+# The grammar of BUILTIN_PATTERN_HELP: a star's leaf count, or a path's
+# vertex count and the end it is rooted at.
+_NAME_RE = re.compile(r"cherry|edge|star(\d+)|path(\d+)@(end|mid)")
 
 
 def pattern_from_name(name: str) -> RootedPattern:
     """Build one of the named patterns: cherry, edge, star<k>, path<k>@end,
     path<k>@mid."""
-    if name == "cherry":
-        return cherry()
-    if name == "edge":
-        return rooted_edge()
-    m = _STAR_RE.fullmatch(name)
-    if m:
-        return star_pattern(int(m.group(1)))
-    m = _PATH_RE.fullmatch(name)
-    if m:
-        k = int(m.group(1))
-        if m.group(2) == "end":
-            return path_pattern_end(k)
-        return path_pattern_mid(k)
-    raise FormatError(
-        f"unknown pattern name {name!r}; expected {BUILTIN_PATTERN_HELP}")
+    m = _NAME_RE.fullmatch(name)
+    if m is None:
+        raise FormatError(
+            f"unknown pattern name {name!r}; expected {BUILTIN_PATTERN_HELP}")
+    star, path, at = m.groups()
+    if star is not None:
+        return star_pattern(int(star))
+    if path is not None:
+        if at == "end":
+            return path_pattern_end(int(path))
+        return path_pattern_mid(int(path))
+    return cherry() if name == "cherry" else rooted_edge()
 
 
 def is_builtin_pattern_name(name: str) -> bool:
-    return (name in ("cherry", "edge") or _STAR_RE.fullmatch(name) is not None
-            or _PATH_RE.fullmatch(name) is not None)
+    return _NAME_RE.fullmatch(name) is not None

@@ -27,6 +27,7 @@ from treepatterns import (
     tree_to_text,
 )
 from treepatterns import cli
+from treepatterns.patterns import BUILTIN_PATTERN_HELP
 
 from test_golden_cli import run_case
 
@@ -276,12 +277,19 @@ class TestInputErrors:
 
         monkeypatch.setattr(cli, "verify_moments", no_sweep)
         monkeypatch.setattr(cli, "verify_labelled_count", no_sweep)
-        rc = cli.main(["verify", "--pattern", "edge", "--n-max", "6",
-                       "--cap", "5"])
-        captured = capsys.readouterr()
-        assert_one_line_input_error(rc, captured)
-        assert captured.err == ("treepatterns: n = 6 exceeds the enumeration "
-                                "cap 5 (6**4 trees)\n")
+        # An --n-max too large to list every n up to it is refused alike.
+        big = 10 ** 20
+        for tail, err in [
+            (["--n-max", "6", "--cap", "5"],
+             "n = 6 exceeds the enumeration cap 5 (6**4 trees)"),
+            (["--n-max", str(big)],
+             f"n = {big} exceeds the enumeration cap 9 "
+             f"({big}**{big - 2} trees)"),
+        ]:
+            rc = cli.main(["verify", "--pattern", "edge", *tail])
+            captured = capsys.readouterr()
+            assert_one_line_input_error(rc, captured)
+            assert captured.err == f"treepatterns: {err}\n"
 
     def test_verify_below_p_plus_two_sweeps_nothing(self, capsys,
                                                      monkeypatch):
@@ -426,6 +434,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == cli.USAGE_ERROR
+
+
+@pytest.mark.parametrize("command",
+                         ["count", "moments", "verify", "mc", "converge"])
+def test_pattern_help_lists_the_builtin_names(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    # argparse wraps the help to the terminal width.
+    assert BUILTIN_PATTERN_HELP in " ".join(capsys.readouterr().out.split())
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

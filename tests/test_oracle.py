@@ -107,6 +107,15 @@ class TestExactDistribution:
         for pat, dist in zip(pats, batch):
             assert dist.histogram == exact_pattern_distribution(6, pat).histogram
 
+    def test_a_pattern_too_big_for_the_host_keeps_its_place(self):
+        # Only the patterns that fit get shape IDs; each hit must still
+        # be tallied under its own pattern's index.
+        pats = [cherry(), path_pattern_end(50), star_pattern(3)]
+        batch = exact_pattern_distributions(6, pats)
+        for pat, dist in zip(pats, batch):
+            assert dist.histogram == exact_pattern_distribution(6, pat).histogram
+        assert batch[1].histogram == {0: 1296}
+
     def test_workers_do_not_change_the_histogram(self):
         serial = exact_pattern_distribution(6, cherry(), workers=1)
         parallel = exact_pattern_distribution(6, cherry(), workers=3)

@@ -286,6 +286,19 @@ class TestCountingCore:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_a_pattern_too_big_for_the_host_costs_nothing(self):
+        # It never occurs, so it gets no shape IDs.  Its 8000 IDs would
+        # cost about the square of their count, as ID i weighs 15**i.
+        pat = path_pattern_end(8000)
+        tracemalloc.start()
+        try:
+            _occurrence_finder(14, [pat])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert count_patterns(path(14), pat) == 0
+
 
 @cache
 def labelled_trees(n):
