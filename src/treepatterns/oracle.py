@@ -6,13 +6,16 @@ count distribution, a check of the labelled rooted count p!/aut against
 direct enumeration, and per-formula comparisons of the exact moments with
 exhaustive averages.  Each sequence is decoded by trees._decode and
 counted on the removal order it returns.  The distributions come from
-Monte Carlo's tally job, run on the sequences instead of seeded draws;
-the moment check keeps its own job, because it also checks fixed tuples
-on the decoded edges.  The sequences are numbered in lexicographic
-order, and a sweep split across processes hands each one a contiguous
-range of those numbers, as Monte Carlo does with its sample indices.
-Enumeration refuses to run past a small cap: the tree count explodes,
-and the cap keeps mistakes cheap.
+Monte Carlo's tally job, run on the sequences instead of seeded draws.
+The moment check sweeps the labelled trees only for its fixed-tuple
+indicators, which depend on labels.  Its count histogram comes from the
+unlabelled rooted trees of trees._rooted_shapes, counted by the same
+core, each weighted by the (n - 1)!/aut labelled trees it stands for.
+The sequences are numbered in lexicographic order, and a sweep split
+across processes hands each one a contiguous range of those numbers, as
+Monte Carlo does with its sample indices.  Enumeration refuses to run
+past a small cap: the tree count explodes, and the cap keeps mistakes
+cheap.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError, TooSmallError
@@ -34,7 +38,7 @@ from .moments import (
 )
 from .montecarlo import _count_job, _marginal
 from .patterns import _fan_out, _is_occurrence, _occurrence_finder
-from .trees import Tree, _decode, _sequences, _tree_from_order
+from .trees import Tree, _decode, _rooted_shapes, _sequences, _tree_from_order
 
 DEFAULT_CAP = 9
 HARD_CAP = 10
@@ -202,31 +206,44 @@ def _fixed_tuples(p: int) -> dict[str, tuple[int, frozenset[int]]]:
 
 
 def _moment_job(args, lo: int, hi: int) -> Counter:
-    # Outcome key: the four fixed-tuple indicators, then the count.
+    # Outcome key: the four fixed-tuple indicators, the only part of the
+    # check that depends on labels; _shape_histogram gives the count.
     n, pat = args
     (r1, o1), *rest = _fixed_tuples(pat.p).values()
-    find = _occurrence_finder(n, [pat])
     # The pairs (v, parent[v]) for v < n: the edges, and (0, 0).  Below
     # n = 2(p + 1) the disjoint tuple holds a label above n, so it has
     # fewer than p inner edges and is never an occurrence.
     child = range(n)
 
     def outcome(seq):
-        order, parent = _decode(seq, n)
-        count = len(find(order, parent))
+        parent = _decode(seq, n)[1]
         if not _is_occurrence(zip(child, parent), r1, o1, pat):
-            return False, False, False, False, count
+            return False, False, False, False
         return (True, *[_is_occurrence(zip(child, parent), r, o, pat)
-                        for r, o in rest], count)
+                        for r, o in rest])
 
     return Counter(map(outcome, _sequences(n, lo, hi)))
+
+
+def _shape_histogram(n: int, pat: RootedPattern) -> dict[int, int]:
+    # A count does not depend on labels, so each rooted shape stands for
+    # the (n - 1)!/aut labelled trees that give it vertex n as the root.
+    find = _occurrence_finder(n, [pat])
+    hist: Counter = Counter()
+    for order, parent in _rooted_shapes(n):
+        aut = _canonical(_tree_from_order(n, order, parent).adjacency, n)[1]
+        hist[len(find(order, parent))] += factorial(n - 1) // aut
+    return dict(hist)
 
 
 def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
                    workers: int = 1) -> MomentVerification:
     """Compare each exact formula against exhaustive enumeration at n.
 
-    Checks outside their domain (the pair and second-moment formulas need
+    The fixed-tuple probabilities are averaged over all n**(n-2) labelled
+    trees, and the count's mean, second moment and zero probability are
+    read from the shape-weighted histogram of _shape_histogram.  Checks
+    outside their domain (the pair and second-moment formulas need
     n >= 2(p + 1)) are reported as skipped rather than failed.
     """
     _check_cap(n, cap)
@@ -235,7 +252,7 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
     g_base, g_disjoint, g_same, g_diff = (
         sum(c for key, c in tally.items() if key[i]) for i in range(4))
     total = n ** (n - 2)
-    dist = ExactDistribution(n, pat, _marginal(tally, 4), total)
+    dist = ExactDistribution(n, pat, _shape_histogram(n, pat), total)
     least = 2 * (pat.p + 1)
     # One row per check, in frozen order: name, oracle value, whether the
     # formula needs n >= 2(p + 1), and the formula with any extra

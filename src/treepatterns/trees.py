@@ -1,9 +1,9 @@
 """Labelled trees on vertices 1..n.
 
 Construction and validation, the Pruefer codec (smallest-labelled-leaf
-convention), the one walk every traversal of a valid tree uses, centers,
-rootification, and the plain-text file formats used by the command line
-tools.
+convention), every unlabelled rooted tree on n vertices, the one walk
+every traversal of a valid tree uses, centers, rootification, and the
+plain-text file formats used by the command line tools.
 """
 
 from __future__ import annotations
@@ -169,6 +169,35 @@ def _decode(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     order.append(leaf)
     parent[leaf] = n
     return order, parent
+
+
+def _rooted_shapes(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    # Every unlabelled rooted tree on n vertices once, after Beyer and
+    # Hedetniemi (1980): level sequences, the depths in preorder, from the
+    # path down to the star.  The next sequence takes the last vertex p
+    # deeper than 1 and its parent q, and repeats the levels from q up to
+    # p from p on.
+    # Preorder position i gets label n - i, so the root is n, parent[n] = 0
+    # and order, labels 1..n - 1, lists children before parents, as
+    # _decode's removal order does.
+    level = list(range(n))
+    while True:
+        parent = [0] * (n + 1)
+        last = [n] * n  # last[d]: the latest label at depth d
+        for i in range(1, n):
+            parent[n - i] = last[level[i] - 1]
+            last[level[i]] = n - i
+        yield list(range(1, n)), parent
+        p = n - 1
+        while p and level[p] <= 1:
+            p -= 1
+        if not p:
+            return
+        q = p - 1
+        while level[q] != level[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            level[i] = level[i - p + q]
 
 
 def _tree_from_order(n: int, order: list[int], parent: list[int]) -> Tree:

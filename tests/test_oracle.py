@@ -19,6 +19,7 @@ from treepatterns import (
     mean_pattern_count,
     path_pattern_end,
     pattern_from_name,
+    pattern_from_text,
     rooted_edge,
     second_moment_pattern_count,
     star_pattern,
@@ -26,12 +27,13 @@ from treepatterns import (
     verify_moments,
 )
 from treepatterns import patterns
-from treepatterns.montecarlo import _count_job
+from treepatterns.montecarlo import _count_job, _marginal
 from treepatterns.oracle import (
     ExactDistribution,
     FormulaCheck,
     _fixed_tuples,
     _moment_job,
+    _shape_histogram,
 )
 
 import naive
@@ -185,12 +187,30 @@ class TestMixedSizeCounts:
             assert dist.histogram == dict(want)
 
 
+class TestShapeHistogram:
+    # A rooted shape weighted by (n - 1)!/aut against the labelled sweep.
+    # The last pattern is a spider read from text: a leaf and a two-edge
+    # leg on the root.  path50@end never fits.
+    PATTERNS = [pattern_from_name(name) for name in (
+        "edge", "cherry", "star3", "path3@end", "path4@end", "path5@mid")] + [
+        pattern_from_text("n 4\n1 2\n1 3\n3 4\nroot 1\n"),
+        path_pattern_end(50)]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_labelled_sweep(self, n):
+        labelled = exact_pattern_distributions(n, self.PATTERNS)
+        assert ([_shape_histogram(n, pat) for pat in self.PATTERNS]
+                == [d.histogram for d in labelled])
+        assert labelled[-1].histogram == {0: n ** (n - 2)}
+
+
 class TestMomentSweep:
     # _moment_job keys each tree by the four fixed-tuple indicators (base,
-    # disjoint, overlap with the same root, overlap with another root),
-    # then the count.
+    # disjoint, overlap with the same root, overlap with another root);
+    # verify_moments takes the count from _shape_histogram.
 
-    # The tallies at n = 7, frozen from the adjacency-list check.
+    # The joint tallies at n = 7, indicators then count, frozen from the
+    # adjacency-list check.
     MOMENT_7 = {
         "cherry": {
             (False, False, False, False, 0): 10717,
@@ -210,7 +230,12 @@ class TestMomentSweep:
     @pytest.mark.parametrize("name", sorted(MOMENT_7))
     def test_tallies_at_seven(self, name):
         pat = pattern_from_name(name)
-        assert _moment_job((7, pat), 0, 7 ** 5) == self.MOMENT_7[name]
+        table = self.MOMENT_7[name]
+        indicators = Counter()
+        for key, c in table.items():
+            indicators[key[:4]] += c
+        assert _moment_job((7, pat), 0, 7 ** 5) == indicators
+        assert _shape_histogram(7, pat) == _marginal(table, 4)
 
     # Every n from p + 2, the first that verify_moments sweeps, up to 6.
     @pytest.mark.parametrize("name, n", [
@@ -220,15 +245,18 @@ class TestMomentSweep:
     def test_indicators_match_the_naive_check(self, name, n):
         pat = pattern_from_name(name)
         tuples = _fixed_tuples(pat.p).values()
-        want = Counter()
+        indicators = Counter()
+        counts = Counter()
         for t in naive.all_trees(n):
             found = [all(v <= n for v in (root, *others))
                      and naive.naive_is_occurrence(t, root, others, pat)
                      for root, others in tuples]
             if not found[0]:
                 found = [False] * 4
-            want[(*found, naive.naive_count(t, pat))] += 1
-        assert _moment_job((n, pat), 0, n ** (n - 2)) == want
+            indicators[tuple(found)] += 1
+            counts[naive.naive_count(t, pat)] += 1
+        assert _moment_job((n, pat), 0, n ** (n - 2)) == indicators
+        assert _shape_histogram(n, pat) == counts
 
 
 @pytest.fixture

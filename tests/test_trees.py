@@ -2,6 +2,7 @@
 
 import random
 from functools import cached_property
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,8 @@ from treepatterns import (
     tree_from_text,
     tree_to_text,
 )
-from treepatterns.trees import _decode
+from treepatterns.isomorphism import _canonical
+from treepatterns.trees import _decode, _rooted_shapes, _tree_from_order
 
 import naive
 
@@ -137,6 +139,41 @@ class TestPruferDecode:
         trees = {prufer_decode(PruferSequence(n, seq)).edges
                  for seq in product(range(1, n + 1), repeat=n - 2)}
         assert len(trees) == count == n ** (n - 2)
+
+
+class TestRootedShapes:
+    # Rooted trees on n = 1..10 unlabelled vertices (OEIS A000081).
+    COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+
+    @staticmethod
+    def trees(n):
+        return [_tree_from_order(n, order, parent)
+                for order, parent in _rooted_shapes(n)]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_shape_per_rooted_tree(self, n):
+        forms = [_canonical(t.adjacency, n)[0].table for t in self.trees(n)]
+        assert len(forms) == self.COUNTS[n - 1]
+        assert len(set(forms)) == len(forms)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_yields_are_in_the_decode_format(self, n):
+        # Vertex n is the root, and order lists every other label once,
+        # after all of its children, as _decode's removal order does.
+        for order, parent in _rooted_shapes(n):
+            assert sorted(order) == list(range(1, n))
+            assert len(parent) == n + 1
+            assert parent[n] == 0
+            place = {v: i for i, v in enumerate(order)}
+            place[n] = n
+            assert all(place[v] < place[parent[v]] for v in order)
+            build_tree(n, [(v, parent[v]) for v in order])
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_weights_cover_every_labelled_tree(self, n):
+        # A shape rooted at n has (n - 1)!/aut labellings of the others.
+        assert sum(factorial(n - 1) // _canonical(t.adjacency, n)[1]
+                   for t in self.trees(n)) == n ** (n - 2)
 
 
 class TestPruferEncode:
