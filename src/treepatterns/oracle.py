@@ -1,6 +1,6 @@
 """Exhaustive ground truth for small n.
 
-Every labelled tree on n vertices is visited exactly once by decoding all
+Every labelled tree on n vertices is visited exactly once by enumerating all
 n**(n-2) Pruefer sequences.  On top of that sweep sit the exact occurrence
 count distribution, a check of the labelled rooted count p!/aut against
 direct enumeration, and per-formula comparisons of the exact moments with
@@ -8,7 +8,9 @@ exhaustive averages.  Each sequence is decoded by trees._decode and
 counted on the removal order it returns.  The distributions come from
 Monte Carlo's tally job, run on the sequences instead of seeded draws.
 The moment check sweeps the labelled trees only for its fixed-tuple
-indicators, which depend on labels.  Its count histogram comes from the
+indicators, which depend on labels.  A vertex occurs deg - 1 times in its
+Pruefer sequence, so it decodes only the sequences whose label counts
+allow the base tuple.  Its count histogram comes from the
 unlabelled rooted trees of trees._rooted_shapes, counted by the same
 core, each weighted by the (n - 1)!/aut labelled trees it stands for.
 The sequences are numbered in lexicographic order, and a sweep split
@@ -62,7 +64,11 @@ def _check_verifiable(pat: RootedPattern, n: int) -> None:
 def _sweep_all(job, args, n: int, workers: int) -> Counter:
     # Up to n = 6 a sweep costs less than a pool: verify_moments for the
     # edge at n = 3..6 took 0.007 s here, 0.028 s with two workers (best
-    # of 5, 2-core VM).  No pool is kept: peak RSS must count its workers.
+    # of 5, 2-core VM).  The moment sweep, which decodes few sequences,
+    # costs less than a pool at n = 7 as well (cherry: 5 ms here, 13 ms
+    # with two workers), but the threshold stays at n > 6 because the
+    # unfiltered sweep of exact_pattern_distributions shares it.  No pool
+    # is kept: peak RSS must count its workers.
     return _fan_out(job, args, n ** (n - 2), workers if n > 6 else 1)
 
 
@@ -210,10 +216,20 @@ def _moment_job(args, lo: int, hi: int) -> Counter:
     # check that depends on labels; _shape_histogram gives the count.
     n, pat = args
     (r1, o1), *rest = _fixed_tuples(pat.p).values()
+    # A vertex occurs deg - 1 times in its Pruefer sequence.  If the base
+    # tuple (1; 2..p+1) is an occurrence, vertex 1 has the root's k
+    # children and one outside neighbour, and labels 1..p+1 carry p inner
+    # edges and one exit, so 1 occurs k times and 1..p+1 occur p times.
+    # Only those sequences are decoded; the rest hold no base tuple.
+    k = pat.shape.tree.degree(pat.shape.root)
+    base = (r1, *o1)
     # The pairs (v, parent[v]) for v < n: the edges, and (0, 0).  Below
     # n = 2(p + 1) the disjoint tuple holds a label above n, so it has
     # fewer than p inner edges and is never an occurrence.
     child = range(n)
+
+    def allowed(seq):
+        return seq.count(r1) == k and sum(map(seq.count, base)) == pat.p
 
     def outcome(seq):
         parent = _decode(seq, n)[1]
@@ -222,7 +238,11 @@ def _moment_job(args, lo: int, hi: int) -> Counter:
         return (True, *[_is_occurrence(zip(child, parent), r, o, pat)
                         for r, o in rest])
 
-    return Counter(map(outcome, _sequences(n, lo, hi)))
+    tally = Counter(map(outcome, filter(allowed, _sequences(n, lo, hi))))
+    skipped = hi - lo - tally.total()
+    if skipped:
+        tally[False, False, False, False] += skipped
+    return tally
 
 
 def _shape_histogram(n: int, pat: RootedPattern) -> dict[int, int]:

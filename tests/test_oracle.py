@@ -4,6 +4,7 @@ import concurrent.futures
 import os
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -257,6 +258,45 @@ class TestMomentSweep:
             counts[naive.naive_count(t, pat)] += 1
         assert _moment_job((n, pat), 0, n ** (n - 2)) == indicators
         assert _shape_histogram(n, pat) == counts
+
+    # Roots with 1, 2, 2 and 3 children, and a spider read from text: a
+    # leaf and a two-edge leg on the root.
+    FILTERED = [pattern_from_name(name) for name in (
+        "path4@end", "cherry", "path5@mid", "star3")] + [
+        pattern_from_text("n 4\n1 2\n1 3\n3 4\nroot 1\n")]
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_a_base_tuple_needs_both_label_counts(self, n):
+        # _moment_job decodes only the sequences in which label 1 occurs
+        # k times, k the root's child count, and labels 1..p+1 occur p
+        # times in all.  Every tree holding (1; 2..p+1) must meet both.
+        seen = 0
+        for seq, t in zip(product(range(1, n + 1), repeat=n - 2),
+                          naive.all_trees(n)):
+            for pat in self.FILTERED:
+                k = pat.shape.tree.degree(pat.shape.root)
+                if (n >= pat.p + 2 and naive.naive_is_occurrence(
+                        t, 1, range(2, pat.p + 2), pat)):
+                    seen += 1
+                    assert seq.count(1) == k
+                    assert sum(s <= pat.p + 1 for s in seq) == pat.p
+        assert seen
+
+    # Uneven parts of 0..7**5: two empty ranges, and 0..6, where label 1
+    # occurs at least four times, so no sequence is decoded.
+    CUTS = [0, 0, 7, 7, 1000, 1001, 8403, 12000, 7 ** 5]
+
+    @pytest.mark.parametrize("name", ["cherry", "star3"])
+    def test_parts_sum_to_the_whole_range(self, name):
+        pat = pattern_from_name(name)
+        whole = _moment_job((7, pat), 0, 7 ** 5)
+        parts = [_moment_job((7, pat), lo, hi)
+                 for lo, hi in zip(self.CUTS, self.CUTS[1:])]
+        assert parts[0] == parts[2] == Counter()
+        assert parts[1] == Counter({(False,) * 4: 7})
+        assert all(c > 0 for part in parts for c in part.values())
+        assert sum(parts, Counter()) == whole
+        assert whole == _marginal(self.MOMENT_7[name], slice(4))
 
 
 @pytest.fixture
