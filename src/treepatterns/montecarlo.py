@@ -6,10 +6,6 @@ samples are split across workers, and a fixed seed reproduces the same
 tallies on any platform.  Uniform draws in 1..n use rejection, never a
 bare modulus.
 
-One job tallies per-pattern counts for Monte Carlo and for the exact
-distributions of the exhaustive oracle.  The oracle's moment check keeps
-its own job, because it also checks fixed tuples on the decoded edges.
-
 `RandomStream.randints` mixes a Pruefer sequence's draws together: it
 packs the SplitMix64 states, up to 4096 at a time, into 128-bit lanes of
 one Python int and runs the finalizer on the whole int, masking each
@@ -38,7 +34,7 @@ from .errors import (
 from .isomorphism import RootedPattern
 from .moments import _moments, _zero_bound, mean_pattern_count, rational_str
 from .patterns import _fan_out, _occurrence_finder
-from .trees import PruferSequence, Tree, _decode, _sequences, prufer_decode
+from .trees import PruferSequence, Tree, _decode, prufer_decode
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -212,14 +208,13 @@ class McEstimate:
 
 
 def _count_job(args, lo: int, hi: int) -> Counter:
-    """Tally per-pattern count tuples over runs lo..hi - 1: run k is Pruefer
-    sequence k in lexicographic order if seed is None, else the draws of
-    stream_for(seed, k), decoded and counted as sample_tree + count_patterns
-    would, minus the Tree object; the equivalence is under test."""
+    """Tally per-pattern count tuples over samples lo..hi - 1: sample k is
+    the draws of stream_for(seed, k), decoded and counted as sample_tree +
+    count_patterns would, minus the Tree object; the equivalence is under
+    test."""
     n, pats, seed = args
     find = _occurrence_finder(n, pats)
     draws = (stream_for(seed, k).randints(n - 2, n) for k in range(lo, hi))
-    seqs = _sequences(n, lo, hi) if seed is None else draws
 
     def outcome(seq):
         counts = [0] * len(pats)
@@ -227,7 +222,7 @@ def _count_job(args, lo: int, hi: int) -> Counter:
             counts[i] += 1
         return tuple(counts)
 
-    return Counter(map(outcome, seqs))
+    return Counter(map(outcome, draws))
 
 
 def _marginal(tally: Counter, i: int) -> dict[int, int]:

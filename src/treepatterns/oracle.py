@@ -1,23 +1,20 @@
 """Exhaustive ground truth for small n.
 
-Every labelled tree on n vertices is visited exactly once by enumerating all
-n**(n-2) Pruefer sequences.  On top of that sweep sit the exact occurrence
-count distribution, a check of the labelled rooted count p!/aut against
-direct enumeration, and per-formula comparisons of the exact moments with
-exhaustive averages.  Each sequence is decoded by trees._decode and
-counted on the removal order it returns.  The distributions come from
-Monte Carlo's tally job, run on the sequences instead of seeded draws.
-The moment check sweeps the labelled trees only for its fixed-tuple
-indicators, which depend on labels.  A vertex occurs deg - 1 times in its
-Pruefer sequence, so it decodes only the sequences whose label counts
-allow the base tuple.  Its count histogram comes from the
-unlabelled rooted trees of trees._rooted_shapes, counted by the same
-core, each weighted by the (n - 1)!/aut labelled trees it stands for.
+Two sweeps cover every labelled tree on n vertices.  The exact count
+distributions, and verify's count histogram, come from one pass over the
+unlabelled rooted trees of trees._rooted_shapes: a count does not depend
+on labels, so each shape is counted once by patterns' core and weighted
+by the (n - 1)!/aut labelled trees it stands for.  Only the four
+fixed-tuple indicators of the moment check depend on labels, and they
+are read from the n**(n-2) Pruefer sequences, decoded by trees._decode.
+A vertex occurs deg - 1 times in its Pruefer sequence, so that sweep
+decodes only the sequences whose label counts allow the base tuple.
 The sequences are numbered in lexicographic order, and a sweep split
 across processes hands each one a contiguous range of those numbers, as
-Monte Carlo does with its sample indices.  Enumeration refuses to run
-past a small cap: the tree count explodes, and the cap keeps mistakes
-cheap.
+Monte Carlo does with its sample indices.  iter_trees and
+verify_labelled_count enumerate the same sequences.  Enumeration refuses
+to run past a small cap: the tree count explodes, and the cap keeps
+mistakes cheap.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from .moments import (
     pair_occurrence_probability,
     second_moment_pattern_count,
 )
-from .montecarlo import _count_job, _marginal
+from .montecarlo import _marginal
 from .patterns import _fan_out, _is_occurrence, _occurrence_finder
 from .trees import Tree, _decode, _rooted_shapes, _sequences, _tree_from_order
 
@@ -59,17 +56,6 @@ def _check_verifiable(pat: RootedPattern, n: int) -> None:
     if n < pat.p + 2:
         raise TooSmallError(
             f"verification needs n >= p + 2 = {pat.p + 2}, got n = {n}")
-
-
-def _sweep_all(job, args, n: int, workers: int) -> Counter:
-    # Up to n = 6 a sweep costs less than a pool: verify_moments for the
-    # edge at n = 3..6 took 0.007 s here, 0.028 s with two workers (best
-    # of 5, 2-core VM).  The moment sweep, which decodes few sequences,
-    # costs less than a pool at n = 7 as well (cherry: 5 ms here, 13 ms
-    # with two workers), but the threshold stays at n > 6 because the
-    # unfiltered sweep of exact_pattern_distributions shares it.  No pool
-    # is kept: peak RSS must count its workers.
-    return _fan_out(job, args, n ** (n - 2), workers if n > 6 else 1)
 
 
 def iter_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
@@ -121,22 +107,36 @@ class ExactDistribution:
                         self.total)
 
 
+def _shape_tally(n: int, pats: Sequence[RootedPattern]) -> Counter:
+    # Per-pattern count tuples over all labelled trees on n vertices.  A
+    # count does not depend on labels, so each rooted shape stands for
+    # the (n - 1)!/aut labelled trees that give it vertex n as the root.
+    find = _occurrence_finder(n, pats)
+    tally: Counter = Counter()
+    for order, parent in _rooted_shapes(n):
+        counts = [0] * len(pats)
+        for i, _, _ in find(order, parent):
+            counts[i] += 1
+        aut = _canonical(_tree_from_order(n, order, parent).adjacency, n)[1]
+        tally[tuple(counts)] += factorial(n - 1) // aut
+    return tally
+
+
 def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
-                                cap: int = DEFAULT_CAP,
-                                workers: int = 1) -> list[ExactDistribution]:
-    """Exact count distributions for several patterns in one sweep."""
+                                cap: int = DEFAULT_CAP
+                                ) -> list[ExactDistribution]:
+    """Exact count distributions for several patterns in one shape pass."""
     _check_cap(n, cap)
-    tally = _sweep_all(_count_job, (n, pats, None), n, workers)
+    tally = _shape_tally(n, pats)
     total = n ** (n - 2)
     return [ExactDistribution(n, pat, _marginal(tally, i), total)
             for i, pat in enumerate(pats)]
 
 
 def exact_pattern_distribution(n: int, pat: RootedPattern,
-                               cap: int = DEFAULT_CAP,
-                               workers: int = 1) -> ExactDistribution:
+                               cap: int = DEFAULT_CAP) -> ExactDistribution:
     """Exact distribution of the occurrence count of pat over all trees."""
-    return exact_pattern_distributions(n, [pat], cap, workers)[0]
+    return exact_pattern_distributions(n, [pat], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def _fixed_tuples(p: int) -> dict[str, tuple[int, frozenset[int]]]:
 
 def _moment_job(args, lo: int, hi: int) -> Counter:
     # Outcome key: the four fixed-tuple indicators, the only part of the
-    # check that depends on labels; _shape_histogram gives the count.
+    # check that depends on labels; _shape_tally gives the count.
     n, pat = args
     (r1, o1), *rest = _fixed_tuples(pat.p).values()
     # A vertex occurs deg - 1 times in its Pruefer sequence.  If the base
@@ -245,34 +245,30 @@ def _moment_job(args, lo: int, hi: int) -> Counter:
     return tally
 
 
-def _shape_histogram(n: int, pat: RootedPattern) -> dict[int, int]:
-    # A count does not depend on labels, so each rooted shape stands for
-    # the (n - 1)!/aut labelled trees that give it vertex n as the root.
-    find = _occurrence_finder(n, [pat])
-    hist: Counter = Counter()
-    for order, parent in _rooted_shapes(n):
-        aut = _canonical(_tree_from_order(n, order, parent).adjacency, n)[1]
-        hist[len(find(order, parent))] += factorial(n - 1) // aut
-    return dict(hist)
-
-
 def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
                    workers: int = 1) -> MomentVerification:
     """Compare each exact formula against exhaustive enumeration at n.
 
     The fixed-tuple probabilities are averaged over all n**(n-2) labelled
     trees, and the count's mean, second moment and zero probability are
-    read from the shape-weighted histogram of _shape_histogram.  Checks
-    outside their domain (the pair and second-moment formulas need
-    n >= 2(p + 1)) are reported as skipped rather than failed.
+    read from the shape-weighted tally of _shape_tally.  Checks outside
+    their domain (the pair and second-moment formulas need n >= 2(p + 1))
+    are reported as skipped rather than failed.
     """
     _check_cap(n, cap)
     _check_verifiable(pat, n)
-    tally = _sweep_all(_moment_job, (n, pat), n, workers)
+    # Up to n = 7 a pool costs more than the whole sweep.  In-process
+    # against two workers, best of 5 on a 2-core VM: at n = 7 cherry 5 vs
+    # 14 ms, star3 2.5 vs 11, path4@end 12 vs 21, edge 18 vs 29; at n = 8
+    # cherry 84 vs 90, star3 40 vs 28, path4@end 182 vs 113, edge 337 vs
+    # 189.  No pool is kept: peak RSS must count its workers.
+    tally = _fan_out(_moment_job, (n, pat), n ** (n - 2),
+                     workers if n > 7 else 1)
     g_base, g_disjoint, g_same, g_diff = (
         sum(c for key, c in tally.items() if key[i]) for i in range(4))
     total = n ** (n - 2)
-    dist = ExactDistribution(n, pat, _shape_histogram(n, pat), total)
+    dist = ExactDistribution(n, pat, _marginal(_shape_tally(n, [pat]), 0),
+                             total)
     least = 2 * (pat.p + 1)
     # One row per check, in frozen order: name, oracle value, whether the
     # formula needs n >= 2(p + 1), and the formula with any extra

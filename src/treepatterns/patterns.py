@@ -13,11 +13,12 @@ patterns' canonical shape tables are merged into one table that numbers
 each of their fringe subtrees, keyed by the multiset of its children's
 IDs.  The counting core reads the host rooted at vertex n and adds up
 subtree sizes and IDs child before parent, in any order that lists each
-vertex after its children: the samplers and the oracle pass the removal
-order of trees._decode, and count_patterns a walk of a Tree with
-trees._walk.  The side of an edge that holds n is coded by a walk of at
-most m vertices up to n.  is_pattern stays on the definition: it reads
-the host's edges and compares canonical forms.
+vertex after its children: the samplers pass the removal order of
+trees._decode, the oracle the shapes of trees._rooted_shapes, and
+count_patterns a walk of a Tree with trees._walk.  The side of an edge
+that holds n is coded by a walk of at most m vertices up to n.
+is_pattern stays on the definition: it reads the host's edges and
+compares canonical forms.
 """
 
 from __future__ import annotations

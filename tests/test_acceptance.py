@@ -52,7 +52,7 @@ def small_patterns():
 @pytest.fixture(scope="module")
 def sweeps(small_patterns):
     """Exact count distributions for all 7 small patterns at n = 3..8."""
-    return {n: exact_pattern_distributions(n, small_patterns, workers=1)
+    return {n: exact_pattern_distributions(n, small_patterns)
             for n in range(3, 9)}
 
 

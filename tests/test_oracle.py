@@ -28,13 +28,13 @@ from treepatterns import (
     verify_moments,
 )
 from treepatterns import patterns
-from treepatterns.montecarlo import _count_job, _marginal
+from treepatterns.montecarlo import _marginal
 from treepatterns.oracle import (
     ExactDistribution,
     FormulaCheck,
     _fixed_tuples,
     _moment_job,
-    _shape_histogram,
+    _shape_tally,
 )
 
 import naive
@@ -119,20 +119,15 @@ class TestExactDistribution:
             assert dist.histogram == exact_pattern_distribution(6, pat).histogram
         assert batch[1].histogram == {0: 1296}
 
-    def test_workers_do_not_change_the_histogram(self):
-        serial = exact_pattern_distribution(6, cherry(), workers=1)
-        parallel = exact_pattern_distribution(6, cherry(), workers=3)
-        assert serial.histogram == parallel.histogram
-        assert serial.total == parallel.total
-
     def test_two_vertex_sweep_sees_one_tree_with_workers(self, monkeypatch):
-        # n = 2 is a one-part range: it runs in-process whatever the
-        # worker count, and both sweeps visit the single tree once.
+        # n = 2 is a one-part range: the labelled sweep runs in-process
+        # whatever the worker count, and it and the shape pass both see
+        # the single tree once.
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-part sweep started a process pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        d = exact_pattern_distribution(2, rooted_edge(), workers=3)
+        d = exact_pattern_distribution(2, rooted_edge())
         assert d.total == 1
         assert d.histogram == {0: 1}
         # verify_moments needs n >= p + 2 = 3, so its sweep is called
@@ -151,8 +146,8 @@ class TestExactDistribution:
 
 
 class TestMixedSizeCounts:
-    # One sweep counts patterns of different sizes; the IDs of all of
-    # them live in one table and are computed up to the largest size.
+    # One shape pass counts patterns of different sizes; the IDs of all
+    # of them live in one table and are computed up to the largest size.
     NAMES = ["edge", "cherry", "star3", "path4@end"]
 
     # The joint histogram at n = 7, keyed by the four counts.  Checked
@@ -167,7 +162,7 @@ class TestMixedSizeCounts:
 
     def joint(self, n):
         pats = [pattern_from_name(name) for name in self.NAMES]
-        return _count_job((n, pats, None), 0, n ** (n - 2))
+        return _shape_tally(n, pats)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_joint_histogram_matches_the_naive_count(self, n):
@@ -189,26 +184,51 @@ class TestMixedSizeCounts:
 
 
 class TestShapeHistogram:
-    # A rooted shape weighted by (n - 1)!/aut against the labelled sweep.
-    # The last pattern is a spider read from text: a leaf and a two-edge
-    # leg on the root.  path50@end never fits.
+    # Rooted shapes weighted by (n - 1)!/aut against labelled trees: the
+    # naive count on every labelled tree up to n = 6, and at n = 7 and 8
+    # the histograms of the labelled Pruefer sweep that counted them
+    # before the shape pass did.  The second-to-last pattern is a spider
+    # read from text: a leaf and a two-edge leg on the root.  path50@end
+    # never fits.
     PATTERNS = [pattern_from_name(name) for name in (
         "edge", "cherry", "star3", "path3@end", "path4@end", "path5@mid")] + [
         pattern_from_text("n 4\n1 2\n1 3\n3 4\nroot 1\n"),
         path_pattern_end(50)]
 
+    LABELLED = {
+        7: [{0: 1057, 1: 6090, 2: 8820, 3: 840},
+            {0: 10717, 1: 5460, 2: 630},
+            {0: 15547, 1: 1260},
+            {0: 5887, 1: 8400, 2: 2520},
+            {0: 11767, 1: 2520, 2: 2520},
+            {0: 15967, 3: 840},
+            {0: 9247, 1: 7560}],
+        8: [{0: 14848, 1: 86016, 2: 134400, 3: 26880},
+            {0: 167224, 1: 84840, 2: 10080},
+            {0: 244784, 1: 16800, 2: 560},
+            {0: 92464, 1: 129360, 2: 40320},
+            {0: 174784, 1: 67200, 2: 20160},
+            {0: 231904, 1: 30240},
+            {0: 174784, 1: 67200, 2: 20160}],
+    }
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_equals_the_labelled_sweep(self, n):
-        labelled = exact_pattern_distributions(n, self.PATTERNS)
-        assert ([_shape_histogram(n, pat) for pat in self.PATTERNS]
-                == [d.histogram for d in labelled])
-        assert labelled[-1].histogram == {0: n ** (n - 2)}
+        if n in self.LABELLED:
+            want = [*self.LABELLED[n], {0: n ** (n - 2)}]
+        else:
+            trees = list(naive.all_trees(n))
+            want = [dict(Counter(naive.naive_count(t, pat) for t in trees))
+                    for pat in self.PATTERNS]
+        assert ([d.histogram
+                 for d in exact_pattern_distributions(n, self.PATTERNS)]
+                == want)
 
 
 class TestMomentSweep:
     # _moment_job keys each tree by the four fixed-tuple indicators (base,
     # disjoint, overlap with the same root, overlap with another root);
-    # verify_moments takes the count from _shape_histogram.
+    # verify_moments takes the count from _shape_tally.
 
     # The joint tallies at n = 7, indicators then count, frozen from the
     # adjacency-list check.
@@ -236,7 +256,7 @@ class TestMomentSweep:
         for key, c in table.items():
             indicators[key[:4]] += c
         assert _moment_job((7, pat), 0, 7 ** 5) == indicators
-        assert _shape_histogram(7, pat) == _marginal(table, 4)
+        assert _marginal(_shape_tally(7, [pat]), 0) == _marginal(table, 4)
 
     # Every n from p + 2, the first that verify_moments sweeps, up to 6.
     @pytest.mark.parametrize("name, n", [
@@ -257,7 +277,7 @@ class TestMomentSweep:
             indicators[tuple(found)] += 1
             counts[naive.naive_count(t, pat)] += 1
         assert _moment_job((n, pat), 0, n ** (n - 2)) == indicators
-        assert _shape_histogram(n, pat) == counts
+        assert _marginal(_shape_tally(n, [pat]), 0) == counts
 
     # Roots with 1, 2, 2 and 3 children, and a spider read from text: a
     # leaf and a two-edge leg on the root.
@@ -326,26 +346,25 @@ def in_process_pool(monkeypatch):
 class TestSweepSplit:
     # A pooled sweep splits the n**(n - 2) sequence indices into equal
     # contiguous parts, by the same rule as Monte Carlo's sample indices.
+    # n = 8 is the first n whose moment sweep is pooled.
     def test_two_workers_get_equal_index_ranges(self, in_process_pool,
                                                 monkeypatch):
-        serial = verify_moments(cherry(), 7, workers=1)
+        serial = verify_moments(cherry(), 8, workers=1)
         assert in_process_pool == []
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pooled = verify_moments(cherry(), 7, workers=2)
-        assert in_process_pool == [(0, 8403), (8403, 16807)]
+        pooled = verify_moments(cherry(), 8, workers=2)
+        assert in_process_pool == [(0, 131072), (131072, 262144)]
         assert pooled.checks == serial.checks
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parts_tile_the_sweep(self, in_process_pool, monkeypatch,
                                   workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        pats = [pattern_from_name(name) for name in TestMixedSizeCounts.NAMES]
-        for n in range(2, 8):
-            serial = exact_pattern_distributions(n, pats, workers=1)
-            pooled = exact_pattern_distributions(n, pats, workers=workers)
-            assert ([d.histogram for d in pooled]
-                    == [d.histogram for d in serial])
-        bounds = [7 ** 5 * i // workers for i in range(workers + 1)]
+        for n in range(4, 9):
+            serial = verify_moments(cherry(), n, workers=1)
+            pooled = verify_moments(cherry(), n, workers=workers)
+            assert pooled.checks == serial.checks
+        bounds = [8 ** 6 * i // workers for i in range(workers + 1)]
         assert in_process_pool == list(zip(bounds, bounds[1:]))
 
 
@@ -414,25 +433,20 @@ class TestVerifyMoments:
         parallel = verify_moments(rooted_edge(), 6, workers=3)
         assert serial.checks == parallel.checks
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_small_sweeps_start_no_pool(self, monkeypatch, n):
-        # Up to n = 6 starting a pool costs more than the whole sweep.
+        # Up to n = 7 starting a pool costs more than the whole sweep.
         def no_pool(*args, **kwargs):
-            raise AssertionError("a sweep with n <= 6 started a process pool")
+            raise AssertionError("a sweep with n <= 7 started a process pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert verify_moments(rooted_edge(), n, workers=2).all_passed
 
-    def test_pooled_sweeps_match_serial_from_seven(self):
-        # The first n whose sweeps may be split across processes; both
-        # oracle jobs send their patterns to the workers.
-        pats = [rooted_edge(), cherry()]
-        serial = exact_pattern_distributions(7, pats, workers=1)
-        parallel = exact_pattern_distributions(7, pats, workers=2)
-        assert ([d.histogram for d in serial]
-                == [d.histogram for d in parallel])
-        assert (verify_moments(cherry(), 7, workers=1).checks
-                == verify_moments(cherry(), 7, workers=2).checks)
+    def test_pooled_sweeps_match_serial_from_eight(self):
+        # The first n whose moment sweep may be split across processes;
+        # the job sends its pattern to the workers.
+        assert (verify_moments(cherry(), 8, workers=1).checks
+                == verify_moments(cherry(), 8, workers=2).checks)
 
     def test_failed_check_is_reported(self):
         check = FormulaCheck("x", Fraction(1), Fraction(2), "fail")
