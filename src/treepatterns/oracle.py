@@ -4,7 +4,9 @@ Two sweeps cover every labelled tree on n vertices.  The exact count
 distributions, and verify's count histogram, come from one pass over the
 unlabelled rooted trees of trees._rooted_shapes: a count does not depend
 on labels, so each shape is counted once by patterns' core and weighted
-by the (n - 1)!/aut labelled trees it stands for.  Only the four
+by the (n - 1)!/aut labelled trees it stands for.  The generator reads
+that weight off the shape's level sequence, where aut is the product of
+r! over each run of r equal sibling subtrees.  Only the four
 fixed-tuple indicators of the moment check depend on labels, and they
 are read from the n**(n-2) Pruefer sequences, decoded by trees._decode.
 A vertex occurs deg - 1 times in its Pruefer sequence, so that sweep
@@ -14,7 +16,8 @@ across processes hands each one a contiguous range of those numbers, as
 Monte Carlo does with its sample indices.  iter_trees and
 verify_labelled_count enumerate the same sequences.  Enumeration refuses
 to run past a small cap: the tree count explodes, and the cap keeps
-mistakes cheap.
+mistakes cheap.  The distributions share that cap on n, though their
+pass visits only the A000081(n) rooted shapes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError, TooSmallError
@@ -109,16 +111,16 @@ class ExactDistribution:
 
 def _shape_tally(n: int, pats: Sequence[RootedPattern]) -> Counter:
     # Per-pattern count tuples over all labelled trees on n vertices.  A
-    # count does not depend on labels, so each rooted shape stands for
-    # the (n - 1)!/aut labelled trees that give it vertex n as the root.
+    # count does not depend on labels, so each rooted shape adds the
+    # weight it comes with: the labelled trees that give it vertex n as
+    # the root.
     find = _occurrence_finder(n, pats)
     tally: Counter = Counter()
-    for order, parent in _rooted_shapes(n):
+    for order, parent, weight in _rooted_shapes(n):
         counts = [0] * len(pats)
         for i, _, _ in find(order, parent):
             counts[i] += 1
-        aut = _canonical(_tree_from_order(n, order, parent).adjacency, n)[1]
-        tally[tuple(counts)] += factorial(n - 1) // aut
+        tally[tuple(counts)] += weight
     return tally
 
 
@@ -266,9 +268,8 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
                      workers if n > 7 else 1)
     g_base, g_disjoint, g_same, g_diff = (
         sum(c for key, c in tally.items() if key[i]) for i in range(4))
-    total = n ** (n - 2)
-    dist = ExactDistribution(n, pat, _marginal(_shape_tally(n, [pat]), 0),
-                             total)
+    dist = exact_pattern_distribution(n, pat, cap)
+    total = dist.total
     least = 2 * (pat.p + 1)
     # One row per check, in frozen order: name, oracle value, whether the
     # formula needs n >= 2(p + 1), and the formula with any extra

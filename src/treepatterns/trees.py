@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -171,7 +172,7 @@ def _decode(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _rooted_shapes(n: int) -> Iterator[tuple[list[int], list[int]]]:
+def _rooted_shapes(n: int) -> Iterator[tuple[list[int], list[int], int]]:
     # Every unlabelled rooted tree on n vertices once, after Beyer and
     # Hedetniemi (1980): level sequences, the depths in preorder, from the
     # path down to the star.  The next sequence takes the last vertex p
@@ -180,14 +181,30 @@ def _rooted_shapes(n: int) -> Iterator[tuple[list[int], list[int]]]:
     # Preorder position i gets label n - i, so the root is n, parent[n] = 0
     # and order, labels 1..n - 1, lists children before parents, as
     # _decode's removal order does.
+    # The weight is the (n - 1)!/aut labelled trees the shape stands for.
+    # A canonical sequence lists each vertex's child subtrees in
+    # non-increasing order, each one canonical itself, so isomorphic
+    # siblings are adjacent with equal slices.  A subtree whose start
+    # equals its previous sibling's whole slice ends there too, as a
+    # longer one would sort above it.  aut is the product of r! over each
+    # run of r such siblings.
     level = list(range(n))
+    full = factorial(n - 1)
     while True:
         parent = [0] * (n + 1)
-        last = [n] * n  # last[d]: the latest label at depth d
+        last = [0] * n  # last[d]: the latest position at depth d
+        run = [1] * n   # run[i]: i's place in its run of equal siblings
+        weight = full
         for i in range(1, n):
-            parent[n - i] = last[level[i] - 1]
-            last[level[i]] = n - i
-        yield list(range(1, n)), parent
+            d = level[i]
+            up = last[d - 1]
+            parent[n - i] = n - up
+            prev = last[d]  # i's previous sibling, if it comes after up
+            if prev > up and level[i:2 * i - prev] == level[prev:i]:
+                run[i] = run[prev] + 1
+                weight //= run[i]
+            last[d] = i
+        yield list(range(1, n)), parent, weight
         p = n - 1
         while p and level[p] <= 1:
             p -= 1

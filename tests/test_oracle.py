@@ -224,6 +224,23 @@ class TestShapeHistogram:
                  for d in exact_pattern_distributions(n, self.PATTERNS)]
                 == want)
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_past_the_enumeration_cap_it_gives_the_closed_forms(self, n):
+        # No labelled sweep reaches n = 11 or 12.  Each marginal must cover
+        # every labelled tree, and give the closed-form moments, which
+        # share no code with the shape pass.
+        pats = [pattern_from_name(name) for name in (
+            "edge", "cherry", "star3", "path4@end", "path5@mid")] + [
+            pattern_from_text("n 4\n1 2\n1 3\n3 4\nroot 1\n")]
+        tally = _shape_tally(n, pats)
+        total = n ** (n - 2)
+        for i, pat in enumerate(pats):
+            counts = _marginal(tally, i)
+            assert sum(counts.values()) == total
+            dist = ExactDistribution(n, pat, counts, total)
+            assert dist.mean == mean_pattern_count(pat, n)
+            assert dist.second_moment == second_moment_pattern_count(pat, n)
+
 
 class TestMomentSweep:
     # _moment_job keys each tree by the four fixed-tuple indicators (base,

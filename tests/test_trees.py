@@ -148,7 +148,7 @@ class TestRootedShapes:
     @staticmethod
     def trees(n):
         return [_tree_from_order(n, order, parent)
-                for order, parent in _rooted_shapes(n)]
+                for order, parent, _ in _rooted_shapes(n)]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_one_shape_per_rooted_tree(self, n):
@@ -160,7 +160,7 @@ class TestRootedShapes:
     def test_yields_are_in_the_decode_format(self, n):
         # Vertex n is the root, and order lists every other label once,
         # after all of its children, as _decode's removal order does.
-        for order, parent in _rooted_shapes(n):
+        for order, parent, _ in _rooted_shapes(n):
             assert sorted(order) == list(range(1, n))
             assert len(parent) == n + 1
             assert parent[n] == 0
@@ -169,11 +169,17 @@ class TestRootedShapes:
             assert all(place[v] < place[parent[v]] for v in order)
             build_tree(n, [(v, parent[v]) for v in order])
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_weight_is_the_labellings_of_the_shape(self, n):
+        # A shape rooted at n has (n - 1)!/aut labellings of the others;
+        # _canonical, which shares no code with the generator, gives aut.
+        for order, parent, weight in _rooted_shapes(n):
+            t = _tree_from_order(n, order, parent)
+            assert weight == factorial(n - 1) // _canonical(t.adjacency, n)[1]
+
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_weights_cover_every_labelled_tree(self, n):
-        # A shape rooted at n has (n - 1)!/aut labellings of the others.
-        assert sum(factorial(n - 1) // _canonical(t.adjacency, n)[1]
-                   for t in self.trees(n)) == n ** (n - 2)
+        assert sum(weight for _, _, weight in _rooted_shapes(n)) == n ** (n - 2)
 
 
 class TestPruferEncode:
