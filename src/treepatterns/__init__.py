@@ -59,6 +59,7 @@ from .oracle import (
     HARD_CAP,
     LabelledCountReport,
     MomentVerification,
+    SHAPE_CAP,
     enumerate_trees,
     exact_pattern_distribution,
     exact_pattern_distributions,

@@ -4,7 +4,9 @@ Sampling is counter based: sample k of a run with seed s draws from its
 own SplitMix64 stream keyed by (s, k), so results do not depend on how
 samples are split across workers, and a fixed seed reproduces the same
 tallies on any platform.  Uniform draws in 1..n use rejection, never a
-bare modulus.
+bare modulus.  Each sample's draws are decoded by trees._decode and
+counted by patterns._tally, with weight 1, the loop that also counts the
+oracle's rooted shapes.
 
 `RandomStream.randints` mixes a Pruefer sequence's draws together: it
 packs the SplitMix64 states, up to 4096 at a time, into 128-bit lanes of
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .isomorphism import RootedPattern
 from .moments import _moments, _zero_bound, mean_pattern_count, rational_str
-from .patterns import _fan_out, _occurrence_finder
+from .patterns import _fan_out, _marginal, _tally
 from .trees import PruferSequence, Tree, _decode, prufer_decode
 
 _MASK = (1 << 64) - 1
@@ -122,7 +124,11 @@ def _lanes(count: int) -> tuple[int, int, int]:
 
 
 def stream_for(seed: int, index: int) -> RandomStream:
-    """Independent stream for one sample index under one seed."""
+    """Independent stream for one sample index under one seed.
+
+    The seed is read modulo 2**64: s and s + 2**64 (and -1 and 2**64 - 1)
+    give the same stream.
+    """
     return RandomStream(mix64(seed ^ mix64((index + 1) * _GOLDEN)))
 
 
@@ -144,12 +150,16 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def _wilson(hits: int, total: int) -> tuple[float, float]:
+    # At hits = 0 the low end is exactly 0, and at hits = total the high
+    # end exactly 1; computed as center -/+ half, rounding can leave them
+    # just inside, so that the interval misses p.
     p = hits / total
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / total
     center = (p + z2 / (2 * total)) / denom
     half = _Z95 * math.sqrt(p * (1 - p) / total + z2 / (4 * total * total)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    return (max(0.0, center - half) if hits else 0.0,
+            min(1.0, center + half) if hits < total else 1.0)
 
 
 @dataclass(frozen=True)
@@ -213,23 +223,8 @@ def _count_job(args, lo: int, hi: int) -> Counter:
     count_patterns would, minus the Tree object; the equivalence is under
     test."""
     n, pats, seed = args
-    find = _occurrence_finder(n, pats)
     draws = (stream_for(seed, k).randints(n - 2, n) for k in range(lo, hi))
-
-    def outcome(seq):
-        counts = [0] * len(pats)
-        for i, _, _ in find(*_decode(seq, n)):
-            counts[i] += 1
-        return tuple(counts)
-
-    return Counter(map(outcome, draws))
-
-
-def _marginal(tally: Counter, i: int) -> dict[int, int]:
-    out: Counter = Counter()
-    for key, c in tally.items():
-        out[key[i]] += c
-    return dict(out)
+    return _tally(n, pats, ((*_decode(seq, n), 1) for seq in draws))
 
 
 def _check_run(pat: RootedPattern, n: int, samples: int) -> None:

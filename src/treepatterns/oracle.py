@@ -3,10 +3,12 @@
 Two sweeps cover every labelled tree on n vertices.  The exact count
 distributions, and verify's count histogram, come from one pass over the
 unlabelled rooted trees of trees._rooted_shapes: a count does not depend
-on labels, so each shape is counted once by patterns' core and weighted
-by the (n - 1)!/aut labelled trees it stands for.  The generator reads
-that weight off the shape's level sequence, where aut is the product of
-r! over each run of r equal sibling subtrees.  Only the four
+on labels, so each shape is counted once by patterns._tally, the loop
+that also tallies Monte Carlo's samples, and weighted by the
+(n - 1)!/aut labelled trees it stands for.  The generator reads that
+weight off the shape's level sequence, where aut is the product of r!
+over each run of r equal sibling subtrees.  That pass refuses n above
+SHAPE_CAP, where one pattern takes about a minute.  Only the four
 fixed-tuple indicators of the moment check depend on labels, and they
 are read from the n**(n-2) Pruefer sequences, decoded by trees._decode.
 A vertex occurs deg - 1 times in its Pruefer sequence, so that sweep
@@ -14,10 +16,9 @@ decodes only the sequences whose label counts allow the base tuple.
 The sequences are numbered in lexicographic order, and a sweep split
 across processes hands each one a contiguous range of those numbers, as
 Monte Carlo does with its sample indices.  iter_trees and
-verify_labelled_count enumerate the same sequences.  Enumeration refuses
-to run past a small cap: the tree count explodes, and the cap keeps
-mistakes cheap.  The distributions share that cap on n, though their
-pass visits only the A000081(n) rooted shapes.
+verify_labelled_count enumerate the same sequences.  This enumeration
+refuses to run past a small cap: the tree count explodes, and the cap
+keeps mistakes cheap.
 """
 
 from __future__ import annotations
@@ -37,21 +38,27 @@ from .moments import (
     pair_occurrence_probability,
     second_moment_pattern_count,
 )
-from .montecarlo import _marginal
-from .patterns import _fan_out, _is_occurrence, _occurrence_finder
+from .patterns import _fan_out, _is_occurrence, _marginal, _tally
 from .trees import Tree, _decode, _rooted_shapes, _sequences, _tree_from_order
 
 DEFAULT_CAP = 9
 HARD_CAP = 10
+# Where one pattern's shape pass takes about a minute: for the cherry,
+# 25 s at n = 18 and 50 s at n = 19 on a 2-core Xeon VM.
+SHAPE_CAP = 19
+
+
+def _check_n(n: int, cap: int) -> None:
+    if n < 2:
+        raise TooSmallError("enumeration needs n >= 2")
+    if n > cap:
+        raise CapExceededError(
+            f"n = {n} exceeds the enumeration cap {cap} ({n}**{n - 2} trees)")
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if n < 2:
-        raise TooSmallError("enumeration needs n >= 2")
-    if n > min(cap, HARD_CAP):
-        raise CapExceededError(
-            f"n = {n} exceeds the enumeration cap {min(cap, HARD_CAP)} "
-            f"({n}**{n - 2} trees)")
+    # The labelled sweeps' cap: HARD_CAP bounds whatever cap is asked for.
+    _check_n(n, min(cap, HARD_CAP))
 
 
 def _check_verifiable(pat: RootedPattern, n: int) -> None:
@@ -109,36 +116,20 @@ class ExactDistribution:
                         self.total)
 
 
-def _shape_tally(n: int, pats: Sequence[RootedPattern]) -> Counter:
-    # Per-pattern count tuples over all labelled trees on n vertices.  A
-    # count does not depend on labels, so each rooted shape adds the
-    # weight it comes with: the labelled trees that give it vertex n as
-    # the root.
-    find = _occurrence_finder(n, pats)
-    tally: Counter = Counter()
-    for order, parent, weight in _rooted_shapes(n):
-        counts = [0] * len(pats)
-        for i, _, _ in find(order, parent):
-            counts[i] += 1
-        tally[tuple(counts)] += weight
-    return tally
-
-
-def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern],
-                                cap: int = DEFAULT_CAP
+def exact_pattern_distributions(n: int, pats: Sequence[RootedPattern]
                                 ) -> list[ExactDistribution]:
     """Exact count distributions for several patterns in one shape pass."""
-    _check_cap(n, cap)
-    tally = _shape_tally(n, pats)
+    _check_n(n, SHAPE_CAP)
+    tally = _tally(n, pats, _rooted_shapes(n))
     total = n ** (n - 2)
     return [ExactDistribution(n, pat, _marginal(tally, i), total)
             for i, pat in enumerate(pats)]
 
 
-def exact_pattern_distribution(n: int, pat: RootedPattern,
-                               cap: int = DEFAULT_CAP) -> ExactDistribution:
+def exact_pattern_distribution(n: int, pat: RootedPattern
+                               ) -> ExactDistribution:
     """Exact distribution of the occurrence count of pat over all trees."""
-    return exact_pattern_distributions(n, [pat], cap)[0]
+    return exact_pattern_distributions(n, [pat])[0]
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def _fixed_tuples(p: int) -> dict[str, tuple[int, frozenset[int]]]:
 
 def _moment_job(args, lo: int, hi: int) -> Counter:
     # Outcome key: the four fixed-tuple indicators, the only part of the
-    # check that depends on labels; _shape_tally gives the count.
+    # check that depends on labels; the shape pass gives the count.
     n, pat = args
     (r1, o1), *rest = _fixed_tuples(pat.p).values()
     # A vertex occurs deg - 1 times in its Pruefer sequence.  If the base
@@ -253,7 +244,7 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
 
     The fixed-tuple probabilities are averaged over all n**(n-2) labelled
     trees, and the count's mean, second moment and zero probability are
-    read from the shape-weighted tally of _shape_tally.  Checks outside
+    read from exact_pattern_distribution's shape pass.  Checks outside
     their domain (the pair and second-moment formulas need n >= 2(p + 1))
     are reported as skipped rather than failed.
     """
@@ -268,7 +259,7 @@ def verify_moments(pat: RootedPattern, n: int, cap: int = DEFAULT_CAP,
                      workers if n > 7 else 1)
     g_base, g_disjoint, g_same, g_diff = (
         sum(c for key, c in tally.items() if key[i]) for i in range(4))
-    dist = exact_pattern_distribution(n, pat, cap)
+    dist = exact_pattern_distribution(n, pat)
     total = dist.total
     least = 2 * (pat.p + 1)
     # One row per check, in frozen order: name, oracle value, whether the

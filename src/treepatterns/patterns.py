@@ -13,10 +13,13 @@ patterns' canonical shape tables are merged into one table that numbers
 each of their fringe subtrees, keyed by the multiset of its children's
 IDs.  The counting core reads the host rooted at vertex n and adds up
 subtree sizes and IDs child before parent, in any order that lists each
-vertex after its children: the samplers pass the removal order of
+vertex after its children: Monte Carlo passes the removal order of
 trees._decode, the oracle the shapes of trees._rooted_shapes, and
 count_patterns a walk of a Tree with trees._walk.  The side of an edge
-that holds n is coded by a walk of at most m vertices up to n.
+that holds n is coded by a walk of at most m vertices up to n.  _tally
+is the one place that turns the counter's hits into per-pattern count
+tuples.  Each tree adds its weight to the tuple of its counts: 1 for a
+sampled tree, and for a rooted shape the labelled trees it stands for.
 is_pattern stays on the definition: it reads the host's edges and
 compares canonical forms.
 """
@@ -209,6 +212,27 @@ def _occurrence_finder(n: int, pats):
         return hits
 
     return find
+
+
+def _tally(n: int, pats, trees) -> Counter:
+    """Per-pattern count tuples over trees on n vertices.  Each tree is
+    (order, parent, weight), order and parent as find takes them, and
+    adds weight to the tuple of its counts."""
+    find = _occurrence_finder(n, pats)
+    tally: Counter = Counter()
+    for order, parent, weight in trees:
+        counts = [0] * len(pats)
+        for i, _, _ in find(order, parent):
+            counts[i] += 1
+        tally[tuple(counts)] += weight
+    return tally
+
+
+def _marginal(tally: Counter, i: int) -> dict[int, int]:
+    out: Counter = Counter()
+    for key, c in tally.items():
+        out[key[i]] += c
+    return dict(out)
 
 
 def _worker_count(workers: int, parts: int) -> int:

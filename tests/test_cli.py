@@ -304,6 +304,16 @@ class TestInputErrors:
         assert captured.err == ("treepatterns: verification needs "
                                 "n >= p + 2 = 5, got n = 4\n")
 
+    def test_verify_refuses_a_pattern_of_more_than_seven_vertices(
+            self, capsys):
+        # The labelled-count check enumerates trees on p + 1 vertices.
+        rc = cli.main(["verify", "--pattern", "path8@end", "--n", "9"])
+        captured = capsys.readouterr()
+        assert_one_line_input_error(rc, captured)
+        assert captured.err == ("treepatterns: pattern size 8 exceeds the "
+                                "rooted enumeration cap 7\n")
+        assert "Traceback" not in captured.err
+
     def test_verify_n_with_n_max_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--pattern", "edge", "--n", "4",

@@ -139,7 +139,11 @@ class TestWilson:
         assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_brackets_the_point_estimate(self):
-        for hits, total in ((1, 10), (5, 10), (250, 1000), (999, 1000)):
+        # hits = 0 and hits = total included: there rounding left the ends
+        # at 5.55e-17 and 0.9999999999999998, outside the interval's p.
+        cases = [(1, 10), (5, 10), (250, 1000), (999, 1000)]
+        cases += [(h, t) for t in range(1, 2001) for h in (0, t)]
+        for hits, total in cases:
             lo, hi = _wilson(hits, total)
             assert 0.0 <= lo <= hits / total <= hi <= 1.0
 
@@ -186,6 +190,17 @@ class TestEstimatePatternStats:
                 (path4, 2000, 40, 4242, 2, (40, 1473, 55261))):
             e = estimate_pattern_stats(pat, n, samples, seed, workers)
             assert (e.hits_ge1, e.sum_count, e.sum_count_sq) == tallies
+
+    def test_seeds_are_read_modulo_two_to_the_64(self):
+        # stream_for masks the seed to 64 bits, so these seeds alias; the
+        # estimate still echoes the seed it was given.
+        def tallies(seed):
+            e = estimate_pattern_stats(cherry(), 30, 200, seed)
+            assert e.to_dict()["seed"] == seed
+            return e.hits_ge1, e.sum_count, e.sum_count_sq
+
+        assert tallies(-1) == tallies(2 ** 64 - 1)
+        assert tallies(5) == tallies(5 + 2 ** 64) != tallies(6)
 
     def test_matches_the_public_sampling_path(self):
         # the tally loop skips Tree construction; it must agree with

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from treepatterns import (
+    SHAPE_CAP,
     CapExceededError,
     TooSmallError,
     cherry,
@@ -28,14 +29,14 @@ from treepatterns import (
     verify_moments,
 )
 from treepatterns import patterns
-from treepatterns.montecarlo import _marginal
 from treepatterns.oracle import (
     ExactDistribution,
     FormulaCheck,
     _fixed_tuples,
     _moment_job,
-    _shape_tally,
 )
+from treepatterns.patterns import _marginal, _tally
+from treepatterns.trees import _decode, _rooted_shapes, _sequences
 
 import naive
 
@@ -142,7 +143,11 @@ class TestExactDistribution:
 
     def test_cap_applies(self):
         with pytest.raises(CapExceededError):
-            exact_pattern_distribution(10, rooted_edge())
+            exact_pattern_distribution(SHAPE_CAP + 1, rooted_edge())
+
+    def test_too_small_n(self):
+        with pytest.raises(TooSmallError):
+            exact_pattern_distribution(1, rooted_edge())
 
 
 class TestMixedSizeCounts:
@@ -162,7 +167,7 @@ class TestMixedSizeCounts:
 
     def joint(self, n):
         pats = [pattern_from_name(name) for name in self.NAMES]
-        return _shape_tally(n, pats)
+        return _tally(n, pats, _rooted_shapes(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_joint_histogram_matches_the_naive_count(self, n):
@@ -224,20 +229,26 @@ class TestShapeHistogram:
                  for d in exact_pattern_distributions(n, self.PATTERNS)]
                 == want)
 
-    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_labelled_trees_and_shapes_give_one_tally(self, n):
+        # patterns._tally takes Monte Carlo's decoded draws with weight 1
+        # and the rooted shapes with their own weights.  Fed every Pruefer
+        # sequence, it must give what the shapes give.
+        labelled = ((*_decode(seq, n), 1)
+                    for seq in _sequences(n, 0, n ** (n - 2)))
+        assert (_tally(n, self.PATTERNS, labelled)
+                == _tally(n, self.PATTERNS, _rooted_shapes(n)))
+
+    @pytest.mark.parametrize("n", [11, 12, 13])
     def test_past_the_enumeration_cap_it_gives_the_closed_forms(self, n):
-        # No labelled sweep reaches n = 11 or 12.  Each marginal must cover
-        # every labelled tree, and give the closed-form moments, which
-        # share no code with the shape pass.
+        # No labelled sweep reaches n = 11 or more.  Each distribution must
+        # cover every labelled tree, and give the closed-form moments,
+        # which share no code with the shape pass.
         pats = [pattern_from_name(name) for name in (
             "edge", "cherry", "star3", "path4@end", "path5@mid")] + [
             pattern_from_text("n 4\n1 2\n1 3\n3 4\nroot 1\n")]
-        tally = _shape_tally(n, pats)
-        total = n ** (n - 2)
-        for i, pat in enumerate(pats):
-            counts = _marginal(tally, i)
-            assert sum(counts.values()) == total
-            dist = ExactDistribution(n, pat, counts, total)
+        for pat, dist in zip(pats, exact_pattern_distributions(n, pats)):
+            assert sum(dist.histogram.values()) == dist.total == n ** (n - 2)
             assert dist.mean == mean_pattern_count(pat, n)
             assert dist.second_moment == second_moment_pattern_count(pat, n)
 
@@ -245,7 +256,7 @@ class TestShapeHistogram:
 class TestMomentSweep:
     # _moment_job keys each tree by the four fixed-tuple indicators (base,
     # disjoint, overlap with the same root, overlap with another root);
-    # verify_moments takes the count from _shape_tally.
+    # verify_moments takes the count from the shape pass.
 
     # The joint tallies at n = 7, indicators then count, frozen from the
     # adjacency-list check.
@@ -273,7 +284,8 @@ class TestMomentSweep:
         for key, c in table.items():
             indicators[key[:4]] += c
         assert _moment_job((7, pat), 0, 7 ** 5) == indicators
-        assert _marginal(_shape_tally(7, [pat]), 0) == _marginal(table, 4)
+        assert exact_pattern_distribution(7, pat).histogram == _marginal(
+            table, 4)
 
     # Every n from p + 2, the first that verify_moments sweeps, up to 6.
     @pytest.mark.parametrize("name, n", [
@@ -294,7 +306,7 @@ class TestMomentSweep:
             indicators[tuple(found)] += 1
             counts[naive.naive_count(t, pat)] += 1
         assert _moment_job((n, pat), 0, n ** (n - 2)) == indicators
-        assert _marginal(_shape_tally(n, [pat]), 0) == counts
+        assert exact_pattern_distribution(n, pat).histogram == counts
 
     # Roots with 1, 2, 2 and 3 children, and a spider read from text: a
     # leaf and a two-edge leg on the root.
